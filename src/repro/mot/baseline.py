@@ -40,15 +40,22 @@ from repro.logic.values import UNKNOWN
 from repro.mot.conditions import MotProfile, mot_profile
 from repro.mot.expansion import DEFAULT_N_STATES, StateSequence
 from repro.mot.resimulate import SequenceStatus, resimulate_sequence
-from repro.mot.simulator import Campaign, FaultVerdict
+from repro.mot.simulator import Campaign, FaultVerdict, screen_fault
 from repro.runner.budget import BudgetMeter, FaultBudget
+from repro.sim.divergence import DivergenceScreen
 from repro.sim.frame import eval_frame
 from repro.sim.goodcache import GoodMachineCache
-from repro.sim.sequential import (
-    outputs_conflict,
-    simulate_injected,
-    simulate_sequence,
-)
+from repro.sim.sequential import simulate_injected, simulate_sequence
+
+# ``mot_profile`` and ``simulate_injected`` are not called in this module
+# (``screen_fault`` runs those steps); they are exported because the
+# per-layer tracer of ``perfbench/spans.py`` wraps this import site.
+__all__ = [
+    "BaselineConfig",
+    "BaselineSimulator",
+    "mot_profile",
+    "simulate_injected",
+]
 
 
 @dataclass(frozen=True)
@@ -93,7 +100,10 @@ class BaselineSimulator:
             self.reference = self.good_cache.result
         else:
             self.reference = simulate_sequence(
-                circuit, self.patterns, engine=self.config.sim_engine
+                circuit,
+                self.patterns,
+                keep_frames=True,
+                engine=self.config.sim_engine,
             )
         if reference_outputs is not None:
             if len(reference_outputs) != len(self.patterns):
@@ -101,6 +111,9 @@ class BaselineSimulator:
             self.reference_outputs = [list(r) for r in reference_outputs]
         else:
             self.reference_outputs = self.reference.outputs
+        self.screen = DivergenceScreen(
+            circuit, self.reference, self.reference_outputs
+        )
 
     # ------------------------------------------------------------------
     def _trial_gain(
@@ -237,18 +250,11 @@ class BaselineSimulator:
     def _procedure(
         self, fault: Fault, meter: Optional[BudgetMeter]
     ) -> FaultVerdict:
+        status, faulty, profile = screen_fault(self.screen, fault, meter)
+        if status:
+            return FaultVerdict(fault, status)
         injected = inject_fault(self.circuit, fault)
-        faulty = simulate_injected(injected, self.patterns)
-        if meter is not None:
-            meter.charge()
-        if outputs_conflict(self.reference_outputs, faulty.outputs) is not None:
-            return FaultVerdict(fault, "conv")
-        profile = mot_profile(
-            faulty.states, self.reference_outputs, faulty.outputs
-        )
-        if not profile.condition_c():
-            return FaultVerdict(fault, "dropped")
-        sequences = [StateSequence(states=[list(r) for r in faulty.states])]
+        sequences = [StateSequence(states=faulty.states)]
         if self.config.schedule == "oneshot":
             return self._simulate_oneshot(
                 fault, injected, profile, sequences, meter

@@ -61,9 +61,7 @@ def mot_profile(
         raise ValueError("output sequences must have equal length")
     if len(faulty_states) != length + 1:
         raise ValueError("state sequence must have L + 1 entries")
-    n_sv = [
-        sum(1 for value in row if value == UNKNOWN) for row in faulty_states
-    ]
+    n_sv = [row.count(UNKNOWN) for row in faulty_states]
     # Suffix-sum the per-time-unit counts of resolvable output positions.
     n_out = [0] * (length + 1)
     for u in range(length - 1, -1, -1):

@@ -2,10 +2,15 @@
 
 For every fault:
 
-1. conventional three-valued simulation; conventionally detected faults
-   are dropped immediately;
-2. the necessary condition (C) is checked; faults that cannot possibly
-   benefit from expansion are dropped as NOT detected;
+1. conventional three-valued simulation, run as an event-driven
+   divergence screen against the good-machine trajectory
+   (:class:`~repro.sim.divergence.DivergenceScreen`: pin overrides on the
+   compiled IR, no netlist copy); conventionally detected faults are
+   dropped immediately;
+2. the necessary condition (C) is checked on the screened trajectory;
+   faults that cannot possibly benefit from expansion are dropped as NOT
+   detected.  Only the survivors are injected into a netlist copy and
+   simulated with per-frame values for the backward implications;
 3. backward-implication information is collected for every unspecified
    state variable / time unit (Section 3.1);
 4. if the information alone proves detection (Section 3.2), stop;
@@ -34,25 +39,22 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.circuit.netlist import Circuit
 from repro.errors import BudgetExceeded, VERDICT_STATUSES
 from repro.faults.injection import inject_fault
 from repro.faults.model import Fault
 from repro.mot.backward import BackwardCollector, detection_from_info
-from repro.mot.conditions import mot_profile
+from repro.mot.conditions import MotProfile, mot_profile
 from repro.mot.expansion import DEFAULT_N_STATES, expand
 from repro.mot.resimulate import SequenceStatus, resimulate_sequence
 from repro.obs.metrics import get_metrics
 from repro.obs.trace import get_tracer
 from repro.runner.budget import BudgetMeter, FaultBudget
+from repro.sim.divergence import Divergence, DivergenceScreen
 from repro.sim.goodcache import GoodMachineCache
-from repro.sim.sequential import (
-    outputs_conflict,
-    simulate_injected,
-    simulate_sequence,
-)
+from repro.sim.sequential import simulate_injected, simulate_sequence
 
 
 def fault_label(circuit: Circuit, fault: Fault) -> str:
@@ -92,9 +94,11 @@ class MotConfig:
     #: Engine of the good-machine simulation: ``"ir"`` (the compiled
     #: two-plane kernel, default) or ``"interp"`` (the per-gate plan
     #: interpreter).  Both are bit-identical (the cross-engine
-    #: differential suite enforces it); the MOT frame engine itself --
-    #: backward implications, expansion, resimulation -- always runs
-    #: interpreted, it merely *sources* fault-free values from here.
+    #: differential suite enforces it).  The per-fault conventional
+    #: screen re-evaluates only the fault's divergence cone over the
+    #: compiled IR, starting from the good trajectory simulated here;
+    #: the survivors' per-frame simulation, backward implications,
+    #: expansion and resimulation run on the interpreter.
     sim_engine: str = "ir"
     #: Run the static learning pass (:mod:`repro.analysis.learning`) once
     #: at construction and consult the learned indirect implications
@@ -222,6 +226,36 @@ class Campaign:
         }
 
 
+def screen_fault(
+    screen: DivergenceScreen,
+    fault: Fault,
+    meter: Optional[BudgetMeter] = None,
+) -> Tuple[str, Divergence, Optional[MotProfile]]:
+    """Procedure 1, steps 1-2: conventional simulation, then condition (C).
+
+    Shared by the proposed procedure and the [4] baseline.  Returns the
+    settled status -- ``"conv"`` or ``"dropped"`` -- or ``""`` for a
+    survivor, together with the screened faulty trajectory and, for a
+    survivor, its :class:`~repro.mot.conditions.MotProfile`.
+    """
+    metrics = get_metrics()
+    faulty = screen.run(fault)
+    if meter is not None:
+        meter.charge()
+    metrics.counter("mot.screen.gate_evals", faulty.gate_evals)
+    if faulty.conflict is not None:
+        metrics.counter("mot.screen.conv")
+        return "conv", faulty, None
+    profile = mot_profile(
+        faulty.states, screen.reference_outputs, faulty.outputs
+    )
+    if not profile.condition_c():
+        metrics.counter("mot.screen.dropped")
+        return "dropped", faulty, None
+    metrics.counter("mot.screen.survived")
+    return "", faulty, profile
+
+
 class ProposedSimulator:
     """Fault simulator implementing the paper's proposed procedure."""
 
@@ -266,7 +300,10 @@ class ProposedSimulator:
                 tracer.emit("goodcache", event="miss")
             with metrics.phase("good_sim"):
                 self.reference = simulate_sequence(
-                    circuit, self.patterns, engine=self.config.sim_engine
+                    circuit,
+                    self.patterns,
+                    keep_frames=True,
+                    engine=self.config.sim_engine,
                 )
         if reference_outputs is not None:
             if len(reference_outputs) != len(self.patterns):
@@ -274,6 +311,9 @@ class ProposedSimulator:
             self.reference_outputs = [list(r) for r in reference_outputs]
         else:
             self.reference_outputs = self.reference.outputs
+        self.screen = DivergenceScreen(
+            circuit, self.reference, self.reference_outputs
+        )
         self._fallback = None  # lazily built [4]-style expander
         self.implication_db = None
         if self.config.learning:
@@ -342,20 +382,17 @@ class ProposedSimulator:
         """Procedure 1 proper; raises :class:`BudgetExceeded` on an
         exhausted *meter*."""
         metrics = get_metrics()
-        injected = inject_fault(self.circuit, fault)
         with metrics.phase("conv_sim"):
-            faulty = simulate_injected(
-                injected, self.patterns, keep_frames=True
-            )
-        if meter is not None:
-            meter.charge()
-        if outputs_conflict(self.reference_outputs, faulty.outputs) is not None:
-            return FaultVerdict(fault, "conv")
-        profile = mot_profile(
-            faulty.states, self.reference_outputs, faulty.outputs
-        )
-        if not profile.condition_c():
-            return FaultVerdict(fault, "dropped")
+            status, _, profile = screen_fault(self.screen, fault, meter)
+            if not status:
+                # Survivors only: backward implications need the faulty
+                # netlist and its per-frame line values.
+                injected = inject_fault(self.circuit, fault)
+                faulty = simulate_injected(
+                    injected, self.patterns, keep_frames=True
+                )
+        if status:
+            return FaultVerdict(fault, status)
 
         collector = BackwardCollector(
             injected,

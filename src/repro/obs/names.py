@@ -85,6 +85,11 @@ METRIC_NAMES = frozenset(
         "mot.expansion.runs",
         "mot.expansion.sequences",
         "mot.fallback.runs",
+        # Conventional screen (repro.mot.simulator.screen_fault).
+        "mot.screen.conv",
+        "mot.screen.dropped",
+        "mot.screen.gate_evals",
+        "mot.screen.survived",
     }
 )
 

@@ -121,3 +121,52 @@ def test_fallback_disabled_still_sound():
         Fault(circuit.line_id("Z"), ONE)
     )
     assert verdict.status == "mot"
+
+
+@pytest.mark.parametrize("fallback", [False, True], ids=["pure", "fallback"])
+def test_screen_counters_repeat_and_count_survivors(monkeypatch, fallback):
+    """The mot.screen.* work counters are deterministic, every simulated
+    fault lands in exactly one of conv / dropped / survived, and each
+    survivor -- of the proposed screen or of the [4] fallback's
+    re-screen -- is one backward collection or one fallback run."""
+    from repro.circuits.registry import build_circuit
+    from repro.mot.backward import BackwardCollector
+    from repro.obs.metrics import scoped_metrics
+    from repro.patterns.random_gen import random_patterns
+
+    collects = []
+    original = BackwardCollector.collect
+
+    def counting(self):
+        collects.append(1)
+        return original(self)
+
+    monkeypatch.setattr(BackwardCollector, "collect", counting)
+    circuit = build_circuit("s344_like")
+    faults = collapse_faults(circuit)[:120]
+    patterns = random_patterns(circuit.num_inputs, 24, seed=3)
+    config = MotConfig(forward_fallback=fallback)
+    runs = []
+    for _ in range(2):
+        collects.clear()
+        with scoped_metrics() as metrics:
+            campaign = ProposedSimulator(circuit, patterns, config).run(faults)
+        counters = metrics.snapshot().counters
+        runs.append(counters)
+        fallback_runs = counters.get("mot.fallback.runs", 0)
+        assert counters["mot.screen.survived"] == len(collects) + fallback_runs
+        assert counters["mot.screen.conv"] == campaign.count("conv")
+        assert counters["mot.screen.dropped"] == campaign.count("dropped")
+        assert (
+            counters["mot.screen.conv"]
+            + counters["mot.screen.dropped"]
+            + counters["mot.screen.survived"]
+            == len(faults) + fallback_runs
+        )
+        assert counters["mot.screen.gate_evals"] > 0
+        assert len(collects) > 0
+        assert (fallback_runs > 0) == fallback
+    screen = {k: v for k, v in runs[0].items() if k.startswith("mot.screen.")}
+    assert screen == {
+        k: v for k, v in runs[1].items() if k.startswith("mot.screen.")
+    }
