@@ -37,6 +37,35 @@ class GateType(enum.Enum):
         return f"GateType.{self.name}"
 
 
+# Dense opcodes shared by every compiled evaluator (the frame plan, the
+# circuit IR and its kernel, the implication rules).  The AND family
+# precedes XOR/XNOR, then NOT/BUF, then the constants, so evaluators can
+# dispatch with range tests.
+OP_AND = 0
+OP_NAND = 1
+OP_OR = 2
+OP_NOR = 3
+OP_XOR = 4
+OP_XNOR = 5
+OP_NOT = 6
+OP_BUF = 7
+OP_CONST0 = 8
+OP_CONST1 = 9
+
+#: Opcode of each gate type.
+OPCODES: Dict[GateType, int] = {
+    GateType.AND: OP_AND,
+    GateType.NAND: OP_NAND,
+    GateType.OR: OP_OR,
+    GateType.NOR: OP_NOR,
+    GateType.XOR: OP_XOR,
+    GateType.XNOR: OP_XNOR,
+    GateType.NOT: OP_NOT,
+    GateType.BUF: OP_BUF,
+    GateType.CONST0: OP_CONST0,
+    GateType.CONST1: OP_CONST1,
+}
+
 #: Minimum number of inputs for each gate type.
 GATE_ARITY_MIN: Dict[GateType, int] = {
     GateType.AND: 1,

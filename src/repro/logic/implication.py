@@ -12,6 +12,18 @@ every value that is *forced* by three-valued reasoning:
   for an AND gate with output 0 whose inputs are all 1 except a single
   ``X``, that ``X`` input must be 0.
 
+Each gate family has a closed-form rule in :data:`RULES`, indexed by the
+dense opcodes of :mod:`repro.logic.gates` and working directly on a
+frame's value list (no per-gate allocation): it returns what one gate
+forces in a single step, which is already the gate's local fixpoint.
+The AND family, for instance, has four cases -- a controlling input
+forces the output; all inputs non-controlling force the output; all
+specified inputs non-controlling with some ``X`` force every ``X`` input
+non-controlling under a non-controlled output; and under a controlled
+output a single remaining ``X`` input is forced controlling.  The frame
+engine calls the rules per gate; :func:`propagate_gate` is a thin wrapper
+for one gate's values.
+
 A contradiction (a line that would need to be both 0 and 1) raises
 :class:`Conflict`.  Conflicts are how backward implications prune
 infeasible state-variable values in the paper (Figure 4): a conflict when
@@ -27,10 +39,10 @@ in ``tests/logic/test_implication_properties.py``.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
-from repro.logic.gates import GateType, eval_gate
-from repro.logic.values import ONE, UNKNOWN, ZERO, inv
+from repro.logic.gates import GateType, OPCODES
+from repro.logic.values import ONE, UNKNOWN, ZERO
 
 
 class Conflict(Exception):
@@ -42,66 +54,126 @@ class Conflict(Exception):
     """
 
 
-#: (controlling input value, output inverted?) for the AND/OR families.
-_AND_OR_FAMILY = {
-    GateType.AND: (ZERO, False),
-    GateType.NAND: (ZERO, True),
-    GateType.OR: (ONE, False),
-    GateType.NOR: (ONE, True),
-}
+# Outcomes of a gate rule.  One propagation step of a single gate never
+# forces both its output and an input, and every input it forces takes
+# the same value, so one small int says everything:
+#: nothing is forced;
+KEEP = 0
+#: ``FORCE_OUT + v``: the output (currently ``X``) is forced to ``v``;
+FORCE_OUT = 1
+#: ``FORCE_PINS + v``: every input pin holding ``X`` is forced to ``v``.
+FORCE_PINS = 3
 
-_XOR_FAMILY = {GateType.XOR: False, GateType.XNOR: True}
-
-
-def _backward_and_or(
-    gate_type: GateType, out: int, ins: List[int]
-) -> bool:
-    """Apply backward rules for the AND/OR family in place.
-
-    Returns True when any input value changed.
-    """
-    ctrl, inverted = _AND_OR_FAMILY[gate_type]
-    nonctrl = inv(ctrl)
-    underlying = inv(out) if inverted else out
-    changed = False
-    if underlying == nonctrl:
-        # Non-controlled output: every input must carry the non-controlling
-        # value.
-        for i, v in enumerate(ins):
-            if v == ctrl:
-                raise Conflict(f"{gate_type.value} output forces input {i}")
-            if v == UNKNOWN:
-                ins[i] = nonctrl
-                changed = True
-    elif underlying == ctrl:
-        # Controlled output: at least one input must be the controlling
-        # value.  If exactly one candidate (X) remains, it is forced.
-        if any(v == ctrl for v in ins):
-            return changed
-        unknown_positions = [i for i, v in enumerate(ins) if v == UNKNOWN]
-        if not unknown_positions:
-            raise Conflict(f"{gate_type.value} output unjustifiable")
-        if len(unknown_positions) == 1:
-            ins[unknown_positions[0]] = ctrl
-            changed = True
-    return changed
+#: ``rule(values, out, ins) -> outcome`` for a gate with output line
+#: *out* and input lines *ins* over the frame's *values*.
+Rule = Callable[[Sequence[int], int, Sequence[int]], int]
 
 
-def _backward_xor(gate_type: GateType, out: int, ins: List[int]) -> bool:
-    """Apply backward rules for the XOR family in place."""
-    if out == UNKNOWN:
-        return False
-    inverted = _XOR_FAMILY[gate_type]
-    unknown_positions = [i for i, v in enumerate(ins) if v == UNKNOWN]
-    if len(unknown_positions) != 1:
-        return False
-    parity = ZERO
-    for v in ins:
-        if v != UNKNOWN:
-            parity ^= v
-    target = inv(out) if inverted else out
-    ins[unknown_positions[0]] = parity ^ target
-    return True
+def _and_family(ctrl: int, inverted: int) -> Rule:
+    """AND/NAND (``ctrl = 0``) and OR/NOR (``ctrl = 1``)."""
+    nonctrl = 1 - ctrl
+    controlled = ctrl ^ inverted  # output when some input is controlling
+    free = nonctrl ^ inverted  # output when every input is non-controlling
+
+    def rule(values: Sequence[int], out: int, ins: Sequence[int]) -> int:
+        unknown = 0
+        for line in ins:
+            value = values[line]
+            if value == ctrl:
+                forced = controlled
+                break
+            if value == UNKNOWN:
+                unknown += 1
+        else:
+            if unknown:
+                # No controlling input, some X: only a specified output
+                # implies anything.
+                current = values[out]
+                if current == free:
+                    return FORCE_PINS + nonctrl
+                if current != UNKNOWN and unknown == 1:
+                    return FORCE_PINS + ctrl  # the last candidate
+                return KEEP
+            forced = free
+        current = values[out]
+        if current == UNKNOWN:
+            return FORCE_OUT + forced
+        if current != forced:
+            raise Conflict("gate output contradicts its inputs")
+        return KEEP
+
+    return rule
+
+
+def _xor_family(inverted: int) -> Rule:
+    def rule(values: Sequence[int], out: int, ins: Sequence[int]) -> int:
+        parity = inverted
+        unknown = False
+        for line in ins:
+            value = values[line]
+            if value == UNKNOWN:
+                if unknown:
+                    return KEEP  # two X inputs: nothing is implied
+                unknown = True
+            else:
+                parity ^= value
+        current = values[out]
+        if unknown:
+            if current == UNKNOWN:
+                return KEEP
+            return FORCE_PINS + (parity ^ current)
+        if current == UNKNOWN:
+            return FORCE_OUT + parity
+        if current != parity:
+            raise Conflict("XOR output contradicts its inputs")
+        return KEEP
+
+    return rule
+
+
+def _unary(inverted: int) -> Rule:
+    def rule(values: Sequence[int], out: int, ins: Sequence[int]) -> int:
+        value = values[ins[0]]
+        current = values[out]
+        if value == UNKNOWN:
+            if current == UNKNOWN:
+                return KEEP
+            return FORCE_PINS + (current ^ inverted)
+        forced = value ^ inverted
+        if current == UNKNOWN:
+            return FORCE_OUT + forced
+        if current != forced:
+            raise Conflict("NOT/BUF output contradicts its input")
+        return KEEP
+
+    return rule
+
+
+def _constant(forced: int) -> Rule:
+    def rule(values: Sequence[int], out: int, ins: Sequence[int]) -> int:
+        current = values[out]
+        if current == UNKNOWN:
+            return FORCE_OUT + forced
+        if current != forced:
+            raise Conflict("constant line contradiction")
+        return KEEP
+
+    return rule
+
+
+#: Gate rule of each opcode (indexed by :data:`repro.logic.gates.OPCODES`).
+RULES: Tuple[Rule, ...] = (
+    _and_family(ZERO, 0),  # OP_AND
+    _and_family(ZERO, 1),  # OP_NAND
+    _and_family(ONE, 0),  # OP_OR
+    _and_family(ONE, 1),  # OP_NOR
+    _xor_family(0),  # OP_XOR
+    _xor_family(1),  # OP_XNOR
+    _unary(1),  # OP_NOT
+    _unary(0),  # OP_BUF
+    _constant(ZERO),  # OP_CONST0
+    _constant(ONE),  # OP_CONST1
+)
 
 
 def propagate_gate(
@@ -131,32 +203,12 @@ def propagate_gate(
         If the given values are locally inconsistent (no complete binary
         assignment of the ``X`` positions satisfies the gate function).
     """
-    new_ins = list(ins)
-    new_out = out
-    while True:
-        changed = False
-        # Forward implication (also detects all output-side conflicts).
-        forward = eval_gate(gate_type, new_ins)
-        if forward != UNKNOWN:
-            if new_out == UNKNOWN:
-                new_out = forward
-                changed = True
-            elif new_out != forward:
-                raise Conflict(f"{gate_type.value} output contradiction")
-        # Backward implication.
-        if new_out != UNKNOWN:
-            if gate_type in _AND_OR_FAMILY:
-                changed |= _backward_and_or(gate_type, new_out, new_ins)
-            elif gate_type in _XOR_FAMILY:
-                changed |= _backward_xor(gate_type, new_out, new_ins)
-            elif gate_type is GateType.NOT:
-                if new_ins[0] == UNKNOWN:
-                    new_ins[0] = inv(new_out)
-                    changed = True
-            elif gate_type is GateType.BUF:
-                if new_ins[0] == UNKNOWN:
-                    new_ins[0] = new_out
-                    changed = True
-            # CONST0/CONST1: forward evaluation already checked the output.
-        if not changed:
-            return new_out, new_ins
+    width = len(ins)
+    values = [*ins, out]
+    outcome = RULES[OPCODES[gate_type]](values, width, range(width))
+    if outcome >= FORCE_PINS:
+        forced = outcome - FORCE_PINS
+        return out, [forced if v == UNKNOWN else v for v in ins]
+    if outcome:
+        return outcome - FORCE_OUT, list(ins)
+    return out, list(ins)

@@ -25,12 +25,20 @@ Two scheduling modes are provided:
   (then abort, as [4] did for the extra s5378 faults in the paper's
   discussion).  This adaptive variant is compared against one-shot in
   ``benchmarks/bench_ablation_schedule.py``.
+
+Frames are refined, not re-evaluated: a per-fault
+:class:`~repro.mot.resimulate.FrameBase` evaluates each conventional
+faulty frame once, the trial simulation refines the first sequence's
+frame by the one state variable being tried, and resimulation refines
+the conventional frame by every state variable a sequence specified
+(:func:`~repro.sim.divergence.refine_frame` re-evaluates only their
+cone).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.circuit.netlist import Circuit
 from repro.errors import BudgetExceeded
@@ -39,11 +47,15 @@ from repro.faults.model import Fault
 from repro.logic.values import UNKNOWN
 from repro.mot.conditions import MotProfile, mot_profile
 from repro.mot.expansion import DEFAULT_N_STATES, StateSequence
-from repro.mot.resimulate import SequenceStatus, resimulate_sequence
+from repro.mot.resimulate import (
+    FrameBase,
+    SequenceStatus,
+    resimulate_sequence,
+)
 from repro.mot.simulator import Campaign, FaultVerdict, screen_fault
+from repro.obs.metrics import get_metrics
 from repro.runner.budget import BudgetMeter, FaultBudget
-from repro.sim.divergence import DivergenceScreen
-from repro.sim.frame import eval_frame
+from repro.sim.divergence import DivergenceScreen, refine_frame
 from repro.sim.goodcache import GoodMachineCache
 from repro.sim.sequential import simulate_injected, simulate_sequence
 
@@ -117,41 +129,49 @@ class BaselineSimulator:
 
     # ------------------------------------------------------------------
     def _trial_gain(
-        self,
-        injected: InjectedFault,
-        sequence: StateSequence,
-        u: int,
-        flop_index: int,
+        self, base: FrameBase, frame: List[int], flop_index: int
     ) -> int:
-        """Newly specified PO/NS values when ``y_i`` is set at time *u*.
+        """Newly specified PO/NS values when ``y_i`` is set in *frame*.
 
-        Sums the gains of both trial values -- the forward-only analogue
-        of the paper's ``N_extra`` criteria.
+        *frame* holds every line value of the trial's base frame, in
+        which ``y_i`` is ``X``.  Sums the gains of both trial values --
+        the forward-only analogue of the paper's ``N_extra`` criteria.
+        Each trial re-evaluates only the cone of ``y_i``
+        (:func:`~repro.sim.divergence.refine_frame`), and only the lines
+        in that cone can gain a value.
         """
-        circuit = injected.circuit
-        interesting = list(circuit.outputs) + [f.ns for f in circuit.flops]
-        base_row = sequence.states[u]
-        base_values = eval_frame(circuit, self.patterns[u], base_row)
+        tables = base.tables
+        taps, loads = tables.taps, tables.loads
+        line = base.ps_lines[flop_index]
         gain = 0
+        evals = 0
         for alpha in (0, 1):
-            trial_row = list(base_row)
-            trial_row[flop_index] = alpha
-            trial_values = eval_frame(circuit, self.patterns[u], trial_row)
-            for line in interesting:
-                if (
-                    base_values[line] == UNKNOWN
-                    and trial_values[line] != UNKNOWN
-                ):
-                    gain += 1
+            diff = {line: alpha}
+            evals += refine_frame(tables, frame, diff)
+            for changed, value in diff.items():
+                if value != UNKNOWN and frame[changed] == UNKNOWN:
+                    # One per primary output and next-state use.
+                    gain += len(taps.get(changed, ())) + len(
+                        loads.get(changed, ())
+                    )
+        get_metrics().counter("mot.resim.gate_evals", evals)
         return gain
 
     def _choose_pair(
         self,
         injected: InjectedFault,
+        base: FrameBase,
         sequences: List[StateSequence],
         profile: MotProfile,
+        taken: Set[Tuple[int, int]],
     ) -> Optional[Tuple[int, int]]:
-        """Pick the next (time unit, state variable) to expand."""
+        """Pick the next (time unit, state variable) to expand.
+
+        A pair is a candidate while its variable is ``X`` in every
+        sequence: ``X`` in the conventional row of *base* and not among
+        the *taken* positions some sequence has specified since
+        (sequences only ever move a position from ``X`` to a value).
+        """
         length = len(self.patterns)
         num_flops = injected.circuit.num_flops
         forced = injected.forced_ps
@@ -159,11 +179,12 @@ class BaselineSimulator:
         for u in range(length):
             if profile.n_out[u] <= 0 or profile.n_sv[u] <= 0:
                 continue
+            row = base.states[u]
             for flop_index in range(num_flops):
-                if flop_index in forced:
-                    continue
-                if all(
-                    seq.states[u][flop_index] == UNKNOWN for seq in sequences
+                if (
+                    row[flop_index] == UNKNOWN
+                    and flop_index not in forced
+                    and (u, flop_index) not in taken
                 ):
                     candidate_pairs.append((u, flop_index))
         if not candidate_pairs:
@@ -176,14 +197,15 @@ class BaselineSimulator:
         candidate_pairs = [
             p for p in candidate_pairs if profile.n_sv[p[0]] == best_n_sv
         ]
+        # Trials refine frame u of the first sequence, which FrameBase
+        # refines from the conventional frame once per time unit here (it
+        # remembers the last row per unit).
+        first = sequences[0].states
         best_pair = None
         best_key: Tuple[int, int, int] = (-1, 0, 0)
         for u, flop_index in candidate_pairs:
-            key = (
-                self._trial_gain(injected, sequences[0], u, flop_index),
-                -u,
-                -flop_index,
-            )
+            frame = base.refine(u, first[u])
+            key = (self._trial_gain(base, frame, flop_index), -u, -flop_index)
             if key > best_key:
                 best_key = key
                 best_pair = (u, flop_index)
@@ -205,6 +227,7 @@ class BaselineSimulator:
     def _resolve(
         self,
         injected: InjectedFault,
+        base: FrameBase,
         sequences: List[StateSequence],
         meter: Optional[BudgetMeter] = None,
     ) -> List[StateSequence]:
@@ -219,6 +242,7 @@ class BaselineSimulator:
                 self.reference_outputs,
                 seq,
                 injected.forced_ps,
+                base=base,
             )
             if status is SequenceStatus.UNRESOLVED:
                 unresolved.append(seq)
@@ -254,34 +278,42 @@ class BaselineSimulator:
         if status:
             return FaultVerdict(fault, status)
         injected = inject_fault(self.circuit, fault)
-        sequences = [StateSequence(states=faulty.states)]
+        # The sequence gets its own rows: the base must keep the
+        # conventional ones.
+        base = FrameBase(injected.circuit, self.patterns, faulty.states)
+        sequences = [StateSequence(states=[list(r) for r in faulty.states])]
         if self.config.schedule == "oneshot":
             return self._simulate_oneshot(
-                fault, injected, profile, sequences, meter
+                fault, injected, base, profile, sequences, meter
             )
         return self._simulate_iterative(
-            fault, injected, profile, sequences, meter
+            fault, injected, base, profile, sequences, meter
         )
 
     def _simulate_oneshot(
         self,
         fault: Fault,
         injected: InjectedFault,
+        base: FrameBase,
         profile: MotProfile,
         sequences: List[StateSequence],
         meter: Optional[BudgetMeter] = None,
     ) -> FaultVerdict:
         expansions = 0
+        taken: Set[Tuple[int, int]] = set()
         while len(sequences) < self.config.n_states:
-            pair = self._choose_pair(injected, sequences, profile)
+            pair = self._choose_pair(
+                injected, base, sequences, profile, taken
+            )
             if pair is None:
                 break
             expansions += 1
             if meter is not None:
                 meter.charge(len(sequences))  # sequences about to be created
             self._expand_all(sequences, *pair)
+            taken.add(pair)
         total = len(sequences)
-        unresolved = self._resolve(injected, sequences, meter)
+        unresolved = self._resolve(injected, base, sequences, meter)
         if not unresolved:
             return FaultVerdict(
                 fault, "mot", how="expansion", num_expansions=expansions,
@@ -299,6 +331,7 @@ class BaselineSimulator:
         self,
         fault: Fault,
         injected: InjectedFault,
+        base: FrameBase,
         profile: MotProfile,
         sequences: List[StateSequence],
         meter: Optional[BudgetMeter] = None,
@@ -309,14 +342,29 @@ class BaselineSimulator:
             if 2 * len(sequences) > self.config.n_states:
                 aborted = True
                 break
-            pair = self._choose_pair(injected, sequences, profile)
+            # Resimulation fills in values and drops sequences, so the
+            # positions some surviving sequence specified are recounted.
+            taken = {
+                (u, flop_index)
+                for seq in sequences
+                for u, (row, conventional) in enumerate(
+                    zip(seq.states, base.states)
+                )
+                for flop_index, (value, old) in enumerate(
+                    zip(row, conventional)
+                )
+                if value != old
+            }
+            pair = self._choose_pair(
+                injected, base, sequences, profile, taken
+            )
             if pair is None:
                 break
             expansions += 1
             if meter is not None:
                 meter.charge(len(sequences))
             self._expand_all(sequences, *pair)
-            sequences = self._resolve(injected, sequences, meter)
+            sequences = self._resolve(injected, base, sequences, meter)
         if not sequences:
             return FaultVerdict(
                 fault, "mot", how="expansion", num_expansions=expansions

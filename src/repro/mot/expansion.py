@@ -187,28 +187,37 @@ def expand(
 
     # ------------------------------------------------------------- phase 2
     phase2_pairs: List[PairKey] = []
+    # A pair is a candidate while all its sv variables are X in every
+    # sequence.  The filters that never change are applied once, here,
+    # together with the phase-1 base row.  After that, a branch on pair
+    # (u, i) specifies every (u, j), j in sv(u, i), in some sequence, and
+    # nothing else changes a position: a candidate at u stays one exactly
+    # while its sv set is disjoint from those of the branches at u.
+    open_pairs: List[Tuple[PairKey, Set[int]]] = []
+    for key in sorted(info):
+        u, _i = key
+        pair = info[key]
+        if pair.resolved_alpha is not None or pair.both_branches_closed:
+            continue
+        if profile.n_out[u] <= 0 or profile.n_sv[u] <= 0:
+            continue
+        sv = _sv_set(pair)
+        row = base.states[u]
+        if sv and all(row[j] == UNKNOWN for j in sv):
+            open_pairs.append((key, sv))
     while len(sequences) < n_states:
-        candidates = []
-        for key in sorted(info):
-            u, _i = key
-            pair = info[key]
-            if pair.resolved_alpha is not None or pair.both_branches_closed:
-                continue
-            if profile.n_out[u] <= 0 or profile.n_sv[u] <= 0:
-                continue
-            sv = _sv_set(pair)
-            if not sv:
-                continue
-            if all(
-                seq.states[u][j] == UNKNOWN for seq in sequences for j in sv
-            ):
-                candidates.append(key)
-        chosen = _select_pair(candidates, info, profile)
+        chosen = _select_pair([key for key, _sv in open_pairs], info, profile)
         if chosen is None:
             break
         phase2_pairs.append(chosen)
         pair = info[chosen]
         u = chosen[0]
+        taken = _sv_set(pair)
+        open_pairs = [
+            (key, sv)
+            for key, sv in open_pairs
+            if key[0] != u or sv.isdisjoint(taken)
+        ]
         if meter is not None:
             meter.charge(len(sequences))  # one event per sequence created
         duplicates: List[StateSequence] = []

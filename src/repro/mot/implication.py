@@ -27,8 +27,14 @@ from collections import deque
 from typing import Iterable, List, Mapping, Optional, Tuple
 
 from repro.circuit.netlist import Circuit
-from repro.logic.gates import GateType
-from repro.logic.implication import Conflict, propagate_gate
+from repro.logic.gates import OPCODES
+from repro.logic.implication import (
+    FORCE_OUT,
+    FORCE_PINS,
+    RULES,
+    Conflict,
+    Rule,
+)
 from repro.logic.values import UNKNOWN
 from repro.obs.metrics import get_metrics
 
@@ -39,13 +45,18 @@ Assignment = Tuple[int, int]
 #: whose *presence* in the frame contradicts a learned implication.
 LearnedChecks = Mapping[Assignment, Tuple[Assignment, ...]]
 
+#: One gate as the engine sees it: its rule, output line and input lines.
+_Gate = Tuple[Rule, int, Tuple[int, ...]]
+
 
 class FrameEngine:
     """Reusable implication engine for one circuit.
 
     The engine precomputes, for every line, the driving gate and the
-    consuming gates, so each :meth:`imply` call touches only the affected
-    cone.
+    consuming gates -- each as its closed-form opcode rule
+    (:data:`repro.logic.implication.RULES`) plus its output and input
+    lines -- so each :meth:`imply` call touches only the affected cone and
+    evaluates a gate with one call on the frame's value list.
 
     When *learned* checks are installed (:meth:`set_learned`), every
     newly specified value is additionally tested against the statically
@@ -61,16 +72,17 @@ class FrameEngine:
     ) -> None:
         self.circuit = circuit
         self.learned = learned if learned else None
-        self._gate_types: List[GateType] = [g.gate_type for g in circuit.gates]
-        self._gate_outputs: List[int] = [g.output for g in circuit.gates]
-        self._gate_inputs: List[Tuple[int, ...]] = [g.inputs for g in circuit.gates]
+        self._gates: List[_Gate] = [
+            (RULES[OPCODES[g.gate_type]], g.output, g.inputs)
+            for g in circuit.gates
+        ]
         # Gates to revisit when a line's value changes: its driver (if the
         # line is gate-driven) plus every gate reading it.
-        touched: List[List[int]] = [[] for _ in range(circuit.num_lines)]
+        touched: List[List[_Gate]] = [[] for _ in range(circuit.num_lines)]
         for gate_index, gate in enumerate(circuit.gates):
-            touched[gate.output].append(gate_index)
+            touched[gate.output].append(self._gates[gate_index])
             for line in gate.inputs:
-                touched[line].append(gate_index)
+                touched[line].append(self._gates[gate_index])
         self._touched_gates = touched
         self._reverse_topo = list(reversed(circuit.topo_gates))
 
@@ -108,43 +120,35 @@ class FrameEngine:
                     f"with {names[other_line]}={other_value}"
                 )
 
-    def _process_gate(
+    def _apply(
         self,
-        gate_index: int,
+        outcome: int,
+        gate: _Gate,
         values: List[int],
         queue: Optional[deque],
         record: Optional[List[Assignment]],
-    ) -> bool:
-        """Propagate one gate; apply newly forced values.  Returns True if
-        anything changed.  Raises Conflict on contradiction."""
-        out_line = self._gate_outputs[gate_index]
-        in_lines = self._gate_inputs[gate_index]
-        out_value = values[out_line]
-        in_values = [values[line] for line in in_lines]
-        new_out, new_ins = propagate_gate(
-            self._gate_types[gate_index], out_value, in_values
-        )
-        changed = False
-        if new_out != out_value:
-            values[out_line] = new_out
-            changed = True
+    ) -> None:
+        """Write the values a gate rule forced (*outcome* is non-zero).
+
+        The output comes first, then the input pins in order -- one entry
+        per ``X`` pin, so a line read by two pins of the gate is recorded
+        twice.  Raises Conflict when a learned check fails.
+        """
+        _rule, out, ins = gate
+        if outcome >= FORCE_PINS:
+            value = outcome - FORCE_PINS
+            lines = [line for line in ins if values[line] == UNKNOWN]
+        else:
+            value = outcome - FORCE_OUT
+            lines = [out]
+        for line in lines:
+            values[line] = value
             if record is not None:
-                record.append((out_line, new_out))
+                record.append((line, value))
             if queue is not None:
-                queue.append(out_line)
+                queue.append(line)
             if self.learned is not None:
-                self._check_learned(out_line, new_out, values)
-        for line, old, new in zip(in_lines, in_values, new_ins):
-            if new != old:
-                values[line] = new
-                changed = True
-                if record is not None:
-                    record.append((line, new))
-                if queue is not None:
-                    queue.append(line)
-                if self.learned is not None:
-                    self._check_learned(line, new, values)
-        return changed
+                self._check_learned(line, value, values)
 
     def _seed(
         self,
@@ -193,10 +197,12 @@ class FrameEngine:
             metrics.counter("mot.implication.runs")
         queue: deque = deque(self._seed(values, assignments, record))
         touched = self._touched_gates
+        apply = self._apply
         while queue:
-            line = queue.popleft()
-            for gate_index in touched[line]:
-                self._process_gate(gate_index, values, queue, record)
+            for gate in touched[queue.popleft()]:
+                outcome = gate[0](values, gate[1], gate[2])
+                if outcome:
+                    apply(outcome, gate, values, queue, record)
 
     def imply_two_pass(
         self,
@@ -213,7 +219,9 @@ class FrameEngine:
         if metrics.enabled:
             metrics.counter("mot.implication.runs")
         self._seed(values, assignments, record)
-        for gate_index in self._reverse_topo:
-            self._process_gate(gate_index, values, None, record)
-        for gate_index in self.circuit.topo_gates:
-            self._process_gate(gate_index, values, None, record)
+        gates = self._gates
+        for gate_index in self._reverse_topo + self.circuit.topo_gates:
+            gate = gates[gate_index]
+            outcome = gate[0](values, gate[1], gate[2])
+            if outcome:
+                self._apply(outcome, gate, values, None, record)

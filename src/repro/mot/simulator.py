@@ -48,7 +48,11 @@ from repro.faults.model import Fault
 from repro.mot.backward import BackwardCollector, detection_from_info
 from repro.mot.conditions import MotProfile, mot_profile
 from repro.mot.expansion import DEFAULT_N_STATES, expand
-from repro.mot.resimulate import SequenceStatus, resimulate_sequence
+from repro.mot.resimulate import (
+    FrameBase,
+    SequenceStatus,
+    resimulate_sequence,
+)
 from repro.obs.metrics import get_metrics
 from repro.obs.trace import get_tracer
 from repro.runner.budget import BudgetMeter, FaultBudget
@@ -96,9 +100,12 @@ class MotConfig:
     #: interpreter).  Both are bit-identical (the cross-engine
     #: differential suite enforces it).  The per-fault conventional
     #: screen re-evaluates only the fault's divergence cone over the
-    #: compiled IR, starting from the good trajectory simulated here;
-    #: the survivors' per-frame simulation, backward implications,
-    #: expansion and resimulation run on the interpreter.
+    #: compiled IR, starting from the good trajectory simulated here.
+    #: Survivors are injected and simulated on the interpreter once, for
+    #: the per-frame values backward implications need; the implication
+    #: engine then runs closed-form rules on the IR opcodes, and
+    #: resimulation (and the forward fallback's trial gain) refine those
+    #: conventional frames over the fault's cone only.
     sim_engine: str = "ir"
     #: Run the static learning pass (:mod:`repro.analysis.learning`) once
     #: at construction and consult the learned indirect implications
@@ -436,6 +443,9 @@ class ProposedSimulator:
 
         tracer = get_tracer()
         all_resolved = True
+        base = FrameBase(
+            injected.circuit, self.patterns, faulty.states, faulty.frames
+        )
         with metrics.phase("resim"):
             for sequence in outcome.sequences:
                 if meter is not None:
@@ -446,6 +456,7 @@ class ProposedSimulator:
                     self.reference_outputs,
                     sequence,
                     injected.forced_ps,
+                    base=base,
                 )
                 if metrics.enabled:
                     metrics.counter(f"mot.resim.{status.value}")

@@ -43,7 +43,11 @@ from repro.logic.values import UNKNOWN
 from repro.mot.backward import BackwardCollector
 from repro.mot.conditions import mot_profile
 from repro.mot.expansion import expand
-from repro.mot.resimulate import SequenceStatus, resimulate_sequence
+from repro.mot.resimulate import (
+    FrameBase,
+    SequenceStatus,
+    resimulate_sequence,
+)
 from repro.mot.simulator import MotConfig
 from repro.sim.sequential import (
     outputs_conflict,
@@ -151,6 +155,7 @@ def build_witness(
         # above already cover every feasible trajectory.
         return witness if witness.cases else None
 
+    base = FrameBase(injected.circuit, patterns, faulty.states, faulty.frames)
     for sequence in outcome.sequences:
         constraints = {
             (u, flop_index): value
@@ -166,6 +171,7 @@ def build_witness(
             sequence,
             injected.forced_ps,
             detail=detail,
+            base=base,
         )
         if status is SequenceStatus.DETECTED:
             witness.cases.append(WitnessCase(constraints, detail["site"]))

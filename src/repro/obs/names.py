@@ -85,6 +85,9 @@ METRIC_NAMES = frozenset(
         "mot.expansion.runs",
         "mot.expansion.sequences",
         "mot.fallback.runs",
+        # Cone refinement in resimulation and [4] trial gain
+        # (repro.mot.resimulate.FrameBase).
+        "mot.resim.gate_evals",
         # Conventional screen (repro.mot.simulator.screen_fault).
         "mot.screen.conv",
         "mot.screen.dropped",

@@ -28,21 +28,41 @@ every line outside the diff holds its good value.  The result is
 value-identical to :func:`~repro.faults.injection.inject_fault` followed
 by :func:`~repro.sim.sequential.simulate_injected`
 (``tests/sim/test_divergence_screen.py`` checks it differentially).
+
+The per-frame cone evaluator, :func:`refine_frame`, is also how the MOT
+procedures evaluate frames after the screen: resimulation and the [4]
+trial gain refine a conventional faulty frame by the present-state lines
+they change (:class:`repro.mot.resimulate.FrameBase`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.circuit.netlist import Circuit
 from repro.faults.model import Fault
+from repro.logic.gates import (
+    OP_BUF,
+    OP_NAND,
+    OP_NOR,
+    OP_NOT,
+    OP_XNOR,
+    OPCODES,
+    eval_gate,
+)
 from repro.logic.values import UNKNOWN
-from repro.sim.ir import OP_BUF, OP_NAND, OP_NOR, OP_NOT, OP_XNOR, compile_circuit
+from repro.sim.ir import compile_circuit
 from repro.sim.sequential import SequentialResult
 
-__all__ = ["Divergence", "DivergenceScreen"]
+__all__ = [
+    "ConeTables",
+    "Divergence",
+    "DivergenceScreen",
+    "cone_tables",
+    "refine_frame",
+]
 
 _TABLES_ATTR = "_repro_divergence_tables"
 
@@ -66,49 +86,151 @@ class Divergence:
     gate_evals: int
 
 
+#: One schedule slot: opcode, output line, fanin lines, and the slots
+#: reading its output.
+Slot = Tuple[int, int, Tuple[int, ...], Tuple[int, ...]]
+
+_GATE_TYPE_OF = {op: gate_type for gate_type, op in OPCODES.items()}
+
+
 @dataclass(frozen=True)
-class _Tables:
+class ConeTables:
     """Static read indexes of one circuit (built once, cached on it)."""
 
+    #: every schedule slot, in schedule (topological) order
+    slots: Tuple[Slot, ...]
+    #: CSR offset of each schedule slot's first fanin pin
+    offsets: Tuple[int, ...]
     #: schedule slots reading each line (each slot once, ascending)
     readers: Tuple[Tuple[int, ...], ...]
-    #: fanin lines of each schedule slot
-    fanins: Tuple[Tuple[int, ...], ...]
     #: primary-output positions tapping each line
     taps: Dict[int, Tuple[int, ...]]
     #: flip-flops whose data pin reads each line
     loads: Dict[int, Tuple[int, ...]]
 
 
-def _tables(circuit: Circuit) -> _Tables:
+def cone_tables(circuit: Circuit) -> ConeTables:
+    """The :class:`ConeTables` of *circuit* (cached on the circuit)."""
     cached = getattr(circuit, _TABLES_ATTR, None)
     if cached is not None:
         return cached  # type: ignore[no-any-return]
     ir = compile_circuit(circuit)
     offsets, lines = ir.fanin_offsets, ir.fanin_lines
-    fanins = tuple(
-        lines[offsets[s]:offsets[s + 1]] for s in range(ir.num_gates)
-    )
+    fanins = [lines[offsets[s]:offsets[s + 1]] for s in range(ir.num_gates)]
     readers: List[List[int]] = [[] for _ in range(ir.num_lines)]
     for slot, fanin in enumerate(fanins):
         for line in fanin:
             consumers = readers[line]
             if not consumers or consumers[-1] != slot:
                 consumers.append(slot)
+    read_by = tuple(tuple(r) for r in readers)
     taps: Dict[int, List[int]] = {}
     for position, line in enumerate(ir.outputs):
         taps.setdefault(line, []).append(position)
     loads: Dict[int, List[int]] = {}
     for flop_index, line in enumerate(ir.ns_lines):
         loads.setdefault(line, []).append(flop_index)
-    tables = _Tables(
-        readers=tuple(tuple(r) for r in readers),
-        fanins=fanins,
+    tables = ConeTables(
+        slots=tuple(
+            (op, out, fanin, read_by[out])
+            for op, out, fanin in zip(ir.ops, ir.outs, fanins)
+        ),
+        offsets=offsets,
+        readers=read_by,
         taps={line: tuple(p) for line, p in taps.items()},
         loads={line: tuple(f) for line, f in loads.items()},
     )
     setattr(circuit, _TABLES_ATTR, tables)
     return tables
+
+
+def refine_frame(
+    tables: ConeTables,
+    values: Sequence[int],
+    diff: Dict[int, int],
+    pin_force: Optional[Dict[int, int]] = None,
+    forced_slots: FrozenSet[int] = frozenset(),
+) -> int:
+    """Re-evaluate the cone of *diff* over the base frame *values*.
+
+    *values* holds every line of one evaluated frame; *diff* maps the
+    lines that change (present-state lines, typically) to their new
+    values.  Only the gates reading a changed line are re-evaluated, in
+    schedule-slot (topological) order, and *diff* is extended in place
+    with every gate output whose value then differs from *values*.  A
+    frame is a deterministic function of its primary-input and
+    present-state values, so every line left out of *diff* keeps its
+    base value: ``values`` patched with *diff* is exactly the frame
+    evaluated from scratch under the changed lines.
+
+    *pin_force* maps CSR fanin indexes (:meth:`CircuitIR.pin_slot
+    <repro.sim.ir.CircuitIR.pin_slot>`) to stuck values and
+    *forced_slots* names their slots, which are always re-evaluated --
+    how the divergence screen models a fault on the fault-free circuit.
+    Returns the number of gate evaluations.
+    """
+    slots, readers = tables.slots, tables.readers
+    heap = list(forced_slots)
+    for line in diff:
+        heap.extend(readers[line])
+    heapify(heap)
+    get = diff.get
+    evals = 0
+    last = -1
+    while heap:
+        slot = heappop(heap)
+        # A slot is pushed once per changed fanin line, but only ever by
+        # a lower slot, so its copies leave the heap back to back.
+        if slot == last:
+            continue
+        last = slot
+        evals += 1
+        op, out, fanin, consumers = slots[slot]
+        if forced_slots and slot in forced_slots:
+            assert pin_force is not None
+            base = tables.offsets[slot]
+            result = eval_gate(
+                _GATE_TYPE_OF[op],
+                [
+                    pin_force[base + pos] if base + pos in pin_force
+                    else get(line, values[line])
+                    for pos, line in enumerate(fanin)
+                ],
+            )
+        elif op <= OP_NOR:  # AND/NAND/OR/NOR
+            ctrl = 0 if op <= OP_NAND else 1
+            result = 1 - ctrl
+            for line in fanin:
+                v = get(line, values[line])
+                if v == ctrl:
+                    result = ctrl
+                    break
+                if v == UNKNOWN:
+                    result = UNKNOWN
+            if (op == OP_NAND or op == OP_NOR) and result != UNKNOWN:
+                result = 1 - result
+        elif op <= OP_XNOR:  # XOR/XNOR
+            result = 1 if op == OP_XNOR else 0
+            for line in fanin:
+                v = get(line, values[line])
+                if v == UNKNOWN:
+                    result = UNKNOWN
+                    break
+                result ^= v
+        elif op == OP_NOT:
+            line = fanin[0]
+            v = get(line, values[line])
+            result = v if v == UNKNOWN else 1 - v
+        elif op == OP_BUF:
+            line = fanin[0]
+            result = get(line, values[line])
+        else:  # constants never change
+            continue
+        if result != values[out]:
+            diff[out] = result
+            for consumer in consumers:
+                heappush(heap, consumer)
+    return evals
 
 
 class DivergenceScreen:
@@ -134,7 +256,7 @@ class DivergenceScreen:
             raise ValueError("reference response length mismatch")
         self.circuit = circuit
         self.ir = compile_circuit(circuit)
-        self.tables = _tables(circuit)
+        self.tables = cone_tables(circuit)
         self.good = good
         self.frames: List[List[int]] = good.frames
         self.reference_outputs = reference_outputs
@@ -154,9 +276,7 @@ class DivergenceScreen:
         """Screen *fault*: first output conflict, or the faulty trajectory."""
         ir = self.ir
         tables = self.tables
-        readers, fanins = tables.readers, tables.fanins
         taps, loads = tables.taps, tables.loads
-        ops, outs = ir.ops, ir.outs
         ps_lines, ns_lines = ir.ps_lines, ir.ns_lines
         stuck = fault.stuck_at
 
@@ -184,7 +304,6 @@ class DivergenceScreen:
                 if line == fault.line:
                     forced_ps[flop_index] = stuck
         forced_set = frozenset(forced_slots)
-        offsets = ir.fanin_offsets
 
         good_states = self.good.states
         good_outputs = self.good.outputs
@@ -197,63 +316,14 @@ class DivergenceScreen:
         output_diffs: List[Dict[int, int]] = []
         evals = 0
         for u, values in enumerate(self.frames):
-            diff: Dict[int, int] = {}
-            heap = list(forced_set)
-            heapify(heap)
-            queued = set(forced_set)
-            for flop_index, value in state_diff.items():
-                line = ps_lines[flop_index]
-                diff[line] = value
-                for slot in readers[line]:
-                    if slot not in queued:
-                        queued.add(slot)
-                        heappush(heap, slot)
+            diff = {
+                ps_lines[flop_index]: value
+                for flop_index, value in state_diff.items()
+            }
+            evals += refine_frame(
+                tables, values, diff, pin_force, forced_set
+            )
             get = diff.get
-            while heap:
-                slot = heappop(heap)
-                evals += 1
-                op = ops[slot]
-                if slot in forced_set:
-                    base = offsets[slot]
-                    ins = [
-                        pin_force[base + pos] if base + pos in pin_force
-                        else get(line, values[line])
-                        for pos, line in enumerate(fanins[slot])
-                    ]
-                else:
-                    ins = [get(line, values[line]) for line in fanins[slot]]
-                if op <= OP_NOR:  # AND/NAND/OR/NOR
-                    ctrl = 0 if op <= OP_NAND else 1
-                    result = 1 - ctrl
-                    for v in ins:
-                        if v == ctrl:
-                            result = ctrl
-                            break
-                        if v == UNKNOWN:
-                            result = UNKNOWN
-                    if (op == OP_NAND or op == OP_NOR) and result != UNKNOWN:
-                        result = 1 - result
-                elif op <= OP_XNOR:  # XOR/XNOR
-                    result = 1 if op == OP_XNOR else 0
-                    for v in ins:
-                        if v == UNKNOWN:
-                            result = UNKNOWN
-                            break
-                        result ^= v
-                elif op == OP_NOT:
-                    v = ins[0]
-                    result = v if v == UNKNOWN else 1 - v
-                elif op == OP_BUF:
-                    result = ins[0]
-                else:  # constants never diverge
-                    continue
-                out = outs[slot]
-                if result != values[out]:
-                    diff[out] = result
-                    for consumer in readers[out]:
-                        if consumer not in queued:
-                            queued.add(consumer)
-                            heappush(heap, consumer)
 
             # Outputs: only tapped diverged lines and forced taps can move.
             touched = dict(tap_force)

@@ -12,33 +12,16 @@ from __future__ import annotations
 from typing import List, Sequence, Tuple
 
 from repro.circuit.netlist import Circuit
-from repro.logic.gates import GateType
+from repro.logic.gates import (
+    OP_BUF,
+    OP_CONST0,
+    OP_NAND,
+    OP_NOR,
+    OP_NOT,
+    OP_XNOR,
+    OPCODES,
+)
 from repro.logic.values import ONE, UNKNOWN, ZERO
-
-# Opcodes of the compiled plan (dense ints for fast dispatch).
-_OP_AND = 0
-_OP_NAND = 1
-_OP_OR = 2
-_OP_NOR = 3
-_OP_XOR = 4
-_OP_XNOR = 5
-_OP_NOT = 6
-_OP_BUF = 7
-_OP_CONST0 = 8
-_OP_CONST1 = 9
-
-_OPCODES = {
-    GateType.AND: _OP_AND,
-    GateType.NAND: _OP_NAND,
-    GateType.OR: _OP_OR,
-    GateType.NOR: _OP_NOR,
-    GateType.XOR: _OP_XOR,
-    GateType.XNOR: _OP_XNOR,
-    GateType.NOT: _OP_NOT,
-    GateType.BUF: _OP_BUF,
-    GateType.CONST0: _OP_CONST0,
-    GateType.CONST1: _OP_CONST1,
-}
 
 _PLAN_ATTR = "_repro_frame_plan"
 
@@ -52,7 +35,7 @@ def frame_plan(circuit: Circuit) -> Plan:
         plan = []
         for gate_index in circuit.topo_gates:
             gate = circuit.gates[gate_index]
-            plan.append((_OPCODES[gate.gate_type], gate.output, gate.inputs))
+            plan.append((OPCODES[gate.gate_type], gate.output, gate.inputs))
         setattr(circuit, _PLAN_ATTR, plan)
     return plan
 
@@ -117,8 +100,8 @@ def evaluate_plan(plan: Plan, values: List[int]) -> None:
     the hottest loop in the package.
     """
     for op, out, ins in plan:
-        if op <= _OP_NOR:  # AND/NAND/OR/NOR family
-            if op <= _OP_NAND:
+        if op <= OP_NOR:  # AND/NAND/OR/NOR family
+            if op <= OP_NAND:
                 ctrl, ctrl_result = ZERO, ZERO
             else:
                 ctrl, ctrl_result = ONE, ONE
@@ -133,11 +116,11 @@ def evaluate_plan(plan: Plan, values: List[int]) -> None:
                     saw_x = True
             if result is None:
                 result = UNKNOWN if saw_x else (ONE - ctrl_result)
-            if op == _OP_NAND or op == _OP_NOR:
+            if op == OP_NAND or op == OP_NOR:
                 if result != UNKNOWN:
                     result = 1 - result
             values[out] = result
-        elif op <= _OP_XNOR:  # XOR/XNOR
+        elif op <= OP_XNOR:  # XOR/XNOR
             parity = ZERO
             for line in ins:
                 v = values[line]
@@ -145,15 +128,15 @@ def evaluate_plan(plan: Plan, values: List[int]) -> None:
                     parity = UNKNOWN
                     break
                 parity ^= v
-            if op == _OP_XNOR and parity != UNKNOWN:
+            if op == OP_XNOR and parity != UNKNOWN:
                 parity = 1 - parity
             values[out] = parity
-        elif op == _OP_NOT:
+        elif op == OP_NOT:
             v = values[ins[0]]
             values[out] = v if v == UNKNOWN else 1 - v
-        elif op == _OP_BUF:
+        elif op == OP_BUF:
             values[out] = values[ins[0]]
-        elif op == _OP_CONST0:
+        elif op == OP_CONST0:
             values[out] = ZERO
-        else:  # _OP_CONST1
+        else:  # OP_CONST1
             values[out] = ONE

@@ -35,7 +35,19 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.circuit.netlist import Circuit
-from repro.logic.gates import GateType
+from repro.logic.gates import (
+    OP_AND,
+    OP_BUF,
+    OP_CONST0,
+    OP_CONST1,
+    OP_NAND,
+    OP_NOR,
+    OP_NOT,
+    OP_OR,
+    OP_XNOR,
+    OP_XOR,
+    OPCODES,
+)
 from repro.obs.metrics import get_metrics
 
 __all__ = [
@@ -52,31 +64,6 @@ __all__ = [
     "CircuitIR",
     "compile_circuit",
 ]
-
-# Dense opcodes (shared contract with repro.sim.kernel).
-OP_AND = 0
-OP_NAND = 1
-OP_OR = 2
-OP_NOR = 3
-OP_XOR = 4
-OP_XNOR = 5
-OP_NOT = 6
-OP_BUF = 7
-OP_CONST0 = 8
-OP_CONST1 = 9
-
-_OPCODES: Dict[GateType, int] = {
-    GateType.AND: OP_AND,
-    GateType.NAND: OP_NAND,
-    GateType.OR: OP_OR,
-    GateType.NOR: OP_NOR,
-    GateType.XOR: OP_XOR,
-    GateType.XNOR: OP_XNOR,
-    GateType.NOT: OP_NOT,
-    GateType.BUF: OP_BUF,
-    GateType.CONST0: OP_CONST0,
-    GateType.CONST1: OP_CONST1,
-}
 
 _IR_ATTR = "_repro_circuit_ir"
 
@@ -166,7 +153,7 @@ def _compile(circuit: Circuit) -> CircuitIR:
     for gate_index in circuit.topo_gates:
         gate = circuit.gates[gate_index]
         level = level_of[gate.output]
-        op = _OPCODES[gate.gate_type]
+        op = OPCODES[gate.gate_type]
         key = (level, op)
         if key not in buckets:
             buckets[key] = []

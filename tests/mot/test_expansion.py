@@ -139,3 +139,93 @@ def test_expansion_marks_time_units():
     outcome = expand(_states(2, 1), info, profile, n_states=2)
     for seq in outcome.sequences:
         assert seq.marked == {1}
+
+
+def _oracle_phase2(base, info, profile, n_states):
+    """Phase 2 scanning every sequence for every candidate, every branch."""
+    from repro.mot.expansion import _select_pair, _sv_set
+
+    sequences = [base.copy()]
+    pairs = []
+    while len(sequences) < n_states:
+        candidates = []
+        for key in sorted(info):
+            u, pair = key[0], info[key]
+            if pair.resolved_alpha is not None or pair.both_branches_closed:
+                continue
+            if profile.n_out[u] <= 0 or profile.n_sv[u] <= 0:
+                continue
+            sv = _sv_set(pair)
+            if sv and all(
+                seq.states[u][j] == UNKNOWN for seq in sequences for j in sv
+            ):
+                candidates.append(key)
+        chosen = _select_pair(candidates, info, profile)
+        if chosen is None:
+            break
+        pairs.append(chosen)
+        pair, u = info[chosen], chosen[0]
+        twins = []
+        for seq in sequences:
+            twin = seq.copy()
+            for flop_index, value in pair.extra[0]:
+                seq.assign(u, flop_index, value)
+            for flop_index, value in pair.extra[1]:
+                twin.assign(u, flop_index, value)
+            twins.append(twin)
+        sequences.extend(twins)
+    return pairs, sequences
+
+
+def test_phase2_matches_full_sequence_scan():
+    """The open-pair bookkeeping selects exactly the pairs, in exactly the
+    order, of a scan over every sequence (real backward information of
+    random machines and s27)."""
+    import random
+
+    from repro.circuits.generators import random_moore
+    from repro.circuits.library import s27
+    from repro.faults.injection import inject_fault
+    from repro.mot.backward import BackwardCollector
+    from repro.mot.conditions import mot_profile
+    from repro.patterns.random_gen import random_patterns
+    from repro.sim.sequential import simulate_injected, simulate_sequence
+
+    from tests.sim.test_divergence_screen import structural_faults
+
+    circuits = [s27()] + [
+        random_moore(seed, num_inputs=2, num_flops=4, num_gates=16)
+        for seed in range(6)
+    ]
+    rng = random.Random(3)
+    branched = 0
+    for circuit in circuits:
+        patterns = random_patterns(circuit.num_inputs, 10, seed=2)
+        reference = simulate_sequence(circuit, patterns).outputs
+        for fault in structural_faults(circuit):
+            injected = inject_fault(circuit, fault)
+            faulty = simulate_injected(injected, patterns, keep_frames=True)
+            profile = mot_profile(faulty.states, reference, faulty.outputs)
+            if not profile.condition_c():
+                continue
+            info = BackwardCollector(
+                injected, faulty, reference, profile
+            ).collect()
+            n_states = rng.choice([2, 8, 64])
+            phase1 = expand(faulty.states, info, profile, n_states=1)
+            outcome = expand(faulty.states, info, profile, n_states=n_states)
+            if phase1.detected_in_phase1:
+                assert outcome.detected_in_phase1
+                continue
+            pairs, sequences = _oracle_phase2(
+                phase1.sequences[0], info, profile, n_states
+            )
+            assert outcome.phase2_pairs == pairs
+            assert [s.states for s in outcome.sequences] == [
+                s.states for s in sequences
+            ]
+            assert [s.marked for s in outcome.sequences] == [
+                s.marked for s in sequences
+            ]
+            branched += len(pairs) > 1
+    assert branched > 0

@@ -170,3 +170,27 @@ def test_screen_counters_repeat_and_count_survivors(monkeypatch, fallback):
     assert screen == {
         k: v for k, v in runs[1].items() if k.startswith("mot.screen.")
     }
+
+
+def test_resim_gate_evals_repeat_exactly():
+    """mot.resim.gate_evals (cone evaluations of resimulation and of the
+    [4] fallback's trial gain) is a deterministic work counter."""
+    from repro.circuits.registry import build_circuit
+    from repro.obs.metrics import scoped_metrics
+    from repro.patterns.random_gen import random_patterns
+
+    circuit = build_circuit("s344_like")
+    faults = collapse_faults(circuit)[:120]
+    patterns = random_patterns(circuit.num_inputs, 24, seed=3)
+    runs = []
+    for _ in range(2):
+        with scoped_metrics() as metrics:
+            campaign = ProposedSimulator(circuit, patterns).run(faults)
+        counters = metrics.snapshot().counters
+        runs.append((
+            counters["mot.resim.gate_evals"],
+            counters.get("mot.fallback.runs", 0),
+            [(v.status, v.how) for v in campaign.verdicts],
+        ))
+    assert runs[0][0] > 0 and runs[0][1] > 0
+    assert runs[0] == runs[1]
