@@ -19,7 +19,13 @@ enforces the two halves of its acceptance criterion in order:
    than the interpreted ``eval_frame``, at width ``PPSFP_WIDTH``.
    Measured as best-of-``ROUNDS`` on both sides to shrug off CI noise.
 
-Exit code 0 when both gates hold, 1 otherwise.
+3. **Fault batch**: on the whole ``s5378_like`` fault universe at
+   ``FAULT_BATCH_LENGTH`` patterns, the default one-word IR run must
+   give the serial simulator's verdicts and run at least
+   ``MIN_ONE_WORD_SPEEDUP``x faster than ``LEGACY_BATCH``-fault words
+   (best-of-``ROUNDS`` each).
+
+Exit code 0 when every gate holds, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -56,6 +62,10 @@ RANDOM_SEEDS = tuple((seed, seed * 7 + 1) for seed in range(10))
 PPSFP_WIDTH = 256
 ROUNDS = 5
 MIN_SPEEDUP = 10.0
+#: Fault-batch gate: sequence length, old word size, required ratio.
+FAULT_BATCH_LENGTH = 24
+LEGACY_BATCH = 62
+MIN_ONE_WORD_SPEEDUP = 3.0
 
 
 def fail(message: str) -> None:
@@ -155,9 +165,47 @@ def check_throughput() -> None:
         )
 
 
+def check_fault_batch() -> None:
+    circuit = build_circuit("s5378_like")
+    compile_circuit(circuit)
+    faults = all_faults(circuit)
+    patterns = random_patterns(
+        circuit.num_inputs, FAULT_BATCH_LENGTH, seed=0
+    )
+    serial = run_conventional(circuit, faults, patterns)
+    one_word = run_parallel_conventional(circuit, faults, patterns)
+    if [v.detected for v in one_word.verdicts] != [
+        v.detected for v in serial.verdicts
+    ]:
+        fail(f"one-word verdicts differ from serial on {circuit.name}")
+    word_s = best_of(
+        ROUNDS, lambda: run_parallel_conventional(circuit, faults, patterns)
+    )
+    legacy_s = best_of(
+        ROUNDS,
+        lambda: run_parallel_conventional(
+            circuit, faults, patterns, LEGACY_BATCH
+        ),
+    )
+    speedup = legacy_s / word_s
+    print(
+        f"fault batch: {len(faults)} faults x {FAULT_BATCH_LENGTH} frames "
+        f"on {circuit.name}: {LEGACY_BATCH}-fault words "
+        f"{legacy_s * 1e3:.1f} ms, one word {word_s * 1e3:.1f} ms "
+        f"-> {speedup:.1f}x (verdicts identical to serial)"
+    )
+    if speedup < MIN_ONE_WORD_SPEEDUP:
+        fail(
+            f"one-word fault simulation is only {speedup:.1f}x the "
+            f"{LEGACY_BATCH}-fault batches (gate: >= "
+            f"{MIN_ONE_WORD_SPEEDUP:.0f}x)"
+        )
+
+
 def main() -> int:
     check_identity()
     check_throughput()
+    check_fault_batch()
     print("kernel gate: all checks passed")
     return 0
 

@@ -8,7 +8,6 @@ from repro.fsim.conventional import (
 )
 from repro.fsim.deductive import DeductiveFaultSimulator
 from repro.fsim.parallel import (
-    DEFAULT_BATCH,
     ParallelFaultSimulator,
     run_parallel_conventional,
 )
@@ -20,6 +19,5 @@ __all__ = [
     "simulate_fault",
     "ParallelFaultSimulator",
     "run_parallel_conventional",
-    "DEFAULT_BATCH",
     "DeductiveFaultSimulator",
 ]

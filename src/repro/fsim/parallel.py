@@ -21,20 +21,26 @@ The results are bit-identical to the serial simulator (asserted in
 ``tests/fsim/test_parallel.py``, including property tests); only the
 detection *site* is not tracked.
 
+By default one call is one batch: every fault of the list shares one
+plane word (Python integers have no 64-bit limit), so the circuit is
+walked once per frame however long the list is.  An explicit ``batch``
+still slices the list into words of that many faults.
+
 Two evaluation engines implement the same batch semantics:
 
-* ``"ir"`` (default) -- per-batch pin overrides are compiled once into
+* ``"ir"`` (default) -- the batch's pin overrides are compiled once into
   plane masks over the levelized :class:`~repro.sim.ir.CircuitIR` and
-  evaluated by :func:`repro.sim.kernel.simulate_fault_batch`; the hot
-  loop walks flat integer arrays instead of the netlist;
+  evaluated by :func:`repro.sim.kernel.simulate_fault_batch`; the
+  fault-free ``reference`` is decoded from slot 0 of that same pass;
 * ``"interp"`` -- the original object-graph walk, kept as the reference
-  implementation the differential suite compares against.
+  implementation the differential suite compares against; its
+  ``reference`` comes from :func:`repro.sim.sequential.simulate_sequence`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.circuit.netlist import Circuit
 from repro.faults.model import Fault
@@ -42,10 +48,7 @@ from repro.fsim.conventional import ConventionalCampaign, ConventionalVerdict
 from repro.logic.gates import GateType
 from repro.logic.values import ONE, ZERO
 from repro.obs.metrics import get_metrics
-from repro.sim.sequential import simulate_sequence
-
-#: Default number of fault slots per word (plus the fault-free slot 0).
-DEFAULT_BATCH = 62
+from repro.sim.sequential import SequentialResult, simulate_sequence
 
 _SWAP = {
     GateType.AND: False,
@@ -98,34 +101,44 @@ def _compile_batch(circuit: Circuit, faults: Sequence[Fault]) -> _Batch:
     return _Batch(list(faults), overrides, forced_state)
 
 
-def _batches(faults: Sequence[Fault], batch: int) -> Iterable[List[Fault]]:
-    for start in range(0, len(faults), batch):
-        yield list(faults[start:start + batch])
+def _batches(
+    faults: Sequence[Fault], batch: Optional[int]
+) -> List[List[Fault]]:
+    size = batch if batch is not None else max(len(faults), 1)
+    return [
+        list(faults[start:start + size])
+        for start in range(0, len(faults), size)
+    ]
 
 
 class ParallelFaultSimulator:
-    """Parallel-fault three-valued sequential simulator."""
+    """Parallel-fault three-valued sequential simulator.
+
+    *batch* is the number of faults per plane word; ``None`` (the
+    default) simulates the whole fault list in one word.
+    """
 
     def __init__(
         self,
         circuit: Circuit,
-        batch: int = DEFAULT_BATCH,
+        batch: Optional[int] = None,
         engine: str = "ir",
     ) -> None:
-        if batch < 1:
+        if batch is not None and batch < 1:
             raise ValueError("batch must be positive")
         if engine not in ("ir", "interp"):
             raise ValueError(f"unknown parallel-fault engine {engine!r}")
         self.circuit = circuit
         self.batch = batch
         self.engine = engine
-        # Pre-resolve gate structure for the interpreted hot loop.
-        self._plan = [
-            (g.gate_type, gate_index, g.output, g.inputs)
-            for gate_index, g in (
-                (i, circuit.gates[i]) for i in circuit.topo_gates
-            )
-        ]
+        if engine == "interp":
+            # Pre-resolve gate structure for the interpreted hot loop.
+            self._plan = [
+                (g.gate_type, gate_index, g.output, g.inputs)
+                for gate_index, g in (
+                    (i, circuit.gates[i]) for i in circuit.topo_gates
+                )
+            ]
 
     # ------------------------------------------------------------------
     def _simulate_batch(
@@ -250,14 +263,20 @@ class ParallelFaultSimulator:
                 simulate_fault_batch,
             )
         with metrics.phase("fsim"):
-            reference = simulate_sequence(
-                self.circuit, patterns, engine=self.engine
-            )
-            for chunk in _batches(faults, self.batch):
+            chunks = _batches(faults, self.batch)
+            if ir_engine:
+                # Slot 0 of the first batch is the fault-free machine,
+                # so an empty list still runs one (width-1) pass for it.
+                reference = SequentialResult(states=[], outputs=[])
+                chunks = chunks or [[]]
+            else:
+                reference = simulate_sequence(self.circuit, patterns)
+            for index, chunk in enumerate(chunks):
                 if ir_engine:
                     compiled_ir = compile_fault_batch(self.circuit, chunk)
                     detected_mask = simulate_fault_batch(
-                        self.circuit, compiled_ir, patterns
+                        self.circuit, compiled_ir, patterns,
+                        reference if index == 0 else None,
                     )
                 else:
                     detected_mask = self._simulate_batch(chunk, patterns)
@@ -284,7 +303,7 @@ def run_parallel_conventional(
     circuit: Circuit,
     faults: Sequence[Fault],
     patterns: Sequence[Sequence[int]],
-    batch: int = DEFAULT_BATCH,
+    batch: Optional[int] = None,
     engine: str = "ir",
 ) -> ConventionalCampaign:
     """Convenience wrapper around :class:`ParallelFaultSimulator`."""

@@ -12,17 +12,25 @@ pattern single fault), a candidate initial state, or a faulty machine
 evaluation is pure bitwise logic over the planes (AND: ones intersect,
 zeros union; XOR by plane recurrence), so one levelized pass over the
 :class:`~repro.sim.ir.CircuitIR` schedule simulates every slot at once.
-Python integers are arbitrary precision, so the *int backend* packs 64+
-slots per "word" with no windowing; the optional *numpy backend* spreads
-slots over ``uint64`` lanes instead, which wins for very wide batches
-where whole-array bitwise ops amortize the per-gate interpreter cost.
+Python integers are arbitrary precision, so the *int backend* packs any
+number of slots into one "word" with no windowing; the optional *numpy
+backend* (imported only when asked for) spreads slots over ``uint64``
+lanes instead.
 
-Fault injection is compiled, not simulated: a stuck pin becomes a pair
-of force masks attached to its CSR fanin index (or primary-output tap /
-flip-flop data pin), applied when the consumer reads the line.  This
-models stems (every consumer pin forced) and branches (a single pin)
-exactly like the netlist-transformation injector, and only gates with at
-least one forced pin leave the fast evaluation path.
+Every sequential simulation -- one machine (:func:`simulate_sequence_ir`),
+W test sequences (:func:`simulate_sequences_packed`) or a fault list
+(:func:`simulate_fault_batch`) -- is one call of the slot runner
+:func:`run_slots`: packed initial-state planes, per-frame PI planes, an
+optional :class:`CompiledFaultBatch` of overrides and a per-frame tap
+that reads what the caller keeps.
+
+Fault injection is compiled, not simulated: a stuck pin becomes a
+``(force_one, force_zero, keep)`` mask triple attached to its CSR fanin
+index (or primary-output tap / flip-flop data pin / pinned present
+state), applied when the consumer reads the line.  This models stems
+(every consumer pin forced) and branches (a single pin) exactly like
+the netlist-transformation injector; gates with no forced pin take the
+override-free path.
 
 Everything here is verdict- and value-identical to the interpreted
 engines (:func:`repro.sim.frame.eval_frame`,
@@ -34,11 +42,14 @@ engines (:func:`repro.sim.frame.eval_frame`,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import importlib.util
+from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
+    Callable,
     Dict,
     FrozenSet,
+    Iterable,
     List,
     Optional,
     Sequence,
@@ -62,11 +73,6 @@ from repro.sim.ir import (
 if TYPE_CHECKING:  # circular at runtime: sequential imports this module
     from repro.sim.sequential import SequentialResult
 
-try:  # pragma: no cover - exercised only where numpy is installed
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None  # type: ignore[assignment]
-
 __all__ = [
     "numpy_available",
     "pack_columns",
@@ -77,6 +83,7 @@ __all__ = [
     "eval_frame_planes",
     "eval_frame_patterns",
     "FramePlanes",
+    "run_slots",
     "simulate_sequence_ir",
     "simulate_sequences_packed",
     "PackedSequences",
@@ -85,16 +92,16 @@ __all__ = [
     "simulate_fault_batch",
 ]
 
-#: Conventional word width used when sizing batches; the int backend is
-#: not limited to it (Python integers are arbitrary precision).
-WORD_BITS = 64
-
-PinOverrides = Dict[int, Tuple[int, int]]
+#: One compiled override: ``(force_one, force_zero, keep)`` with
+#: ``keep == ~(force_one | force_zero)``, applied to a plane pair as
+#: ``(one & keep) | force_one, (zero & keep) | force_zero``.
+Override = Tuple[int, int, int]
+PinOverrides = Dict[int, Override]
 
 
 def numpy_available() -> bool:
     """True when the optional numpy lane backend can be used."""
-    return _np is not None
+    return importlib.util.find_spec("numpy") is not None
 
 
 # ----------------------------------------------------------------------
@@ -175,8 +182,8 @@ def eval_pass(
     Frame sources (primary inputs and present-state lines) must already
     be set in *ones* / *zeros*; every other line is recomputed.  *mask*
     has one bit per live slot.  *pin_overrides* maps CSR fanin indices
-    (see :meth:`CircuitIR.pin_slot`) to ``(force_one, force_zero)``
-    masks; *dirty_slots* is the set of schedule slots with at least one
+    (see :meth:`CircuitIR.pin_slot`) to :data:`Override` triples;
+    *dirty_slots* is the set of schedule slots with at least one
     overridden pin (gates outside it take the override-free fast path).
     """
     off = ir.fanin_offsets
@@ -198,8 +205,7 @@ def eval_pass(
                             v1, v0 = ones[line], zeros[line]
                             forced = pin.get(i)
                             if forced is not None:
-                                f1, f0 = forced
-                                keep = ~(f1 | f0)
+                                f1, f0, keep = forced
                                 v1 = (v1 & keep) | f1
                                 v0 = (v0 & keep) | f0
                             acc1 &= v1
@@ -211,8 +217,7 @@ def eval_pass(
                             v1, v0 = ones[line], zeros[line]
                             forced = pin.get(i)
                             if forced is not None:
-                                f1, f0 = forced
-                                keep = ~(f1 | f0)
+                                f1, f0, keep = forced
                                 v1 = (v1 & keep) | f1
                                 v0 = (v0 & keep) | f0
                             acc1 |= v1
@@ -243,8 +248,7 @@ def eval_pass(
                 if check:
                     forced = pin.get(lo)
                     if forced is not None:
-                        f1, f0 = forced
-                        keep = ~(f1 | f0)
+                        f1, f0, keep = forced
                         r1 = (r1 & keep) | f1
                         r0 = (r0 & keep) | f0
                 for i in range(lo + 1, hi):
@@ -253,8 +257,7 @@ def eval_pass(
                     if check:
                         forced = pin.get(i)
                         if forced is not None:
-                            f1, f0 = forced
-                            keep = ~(f1 | f0)
+                            f1, f0, keep = forced
                             v1 = (v1 & keep) | f1
                             v0 = (v0 & keep) | f0
                     r1, r0 = (r1 & v0) | (r0 & v1), (r1 & v1) | (r0 & v0)
@@ -271,8 +274,7 @@ def eval_pass(
                 if dirty and s in dirty:
                     forced = pin.get(lo)
                     if forced is not None:
-                        f1, f0 = forced
-                        keep = ~(f1 | f0)
+                        f1, f0, keep = forced
                         v1 = (v1 & keep) | f1
                         v0 = (v0 & keep) | f0
                 out = outs[s]
@@ -287,17 +289,6 @@ def eval_pass(
                     ones[out], zeros[out] = 0, mask
                 else:
                     ones[out], zeros[out] = mask, 0
-
-
-def _read_override(
-    one: int, zero: int, forced: Optional[Tuple[int, int]]
-) -> Tuple[int, int]:
-    """Apply a (force_one, force_zero) mask pair to one plane pair."""
-    if forced is None:
-        return one, zero
-    f1, f0 = forced
-    keep = ~(f1 | f0)
-    return (one & keep) | f1, (zero & keep) | f0
 
 
 # ----------------------------------------------------------------------
@@ -456,8 +447,99 @@ def eval_frame_patterns(
 
 
 # ----------------------------------------------------------------------
-# Sequential simulation (single slot and packed)
+# The slot runner: every sequential simulation
 # ----------------------------------------------------------------------
+#: Per-frame tap of :func:`run_slots`: ``(ones, zeros, out_one,
+#: out_zero, state_one, state_zero)``.
+FrameTap = Callable[
+    [List[int], List[int], List[int], List[int], List[int], List[int]],
+    None,
+]
+
+
+def _apply_overrides(
+    table: Dict[int, Override], one: List[int], zero: List[int]
+) -> None:
+    for index, (f1, f0, keep) in table.items():
+        one[index] = (one[index] & keep) | f1
+        zero[index] = (zero[index] & keep) | f0
+
+
+def _decode_slot(
+    ones: Iterable[int], zeros: Iterable[int], bit: int
+) -> List[int]:
+    """The values of the slot *bit* selects, one per plane pair."""
+    return [
+        ONE if one & bit else (ZERO if zero & bit else UNKNOWN)
+        for one, zero in zip(ones, zeros)
+    ]
+
+
+def _decode_width1(ones: Iterable[int], zeros: Iterable[int]) -> List[int]:
+    """:func:`_decode_slot` of slot 0 when the planes are one slot wide."""
+    return [
+        ONE if one else (ZERO if zero else UNKNOWN)
+        for one, zero in zip(ones, zeros)
+    ]
+
+
+def _broadcast_frames(
+    ir: CircuitIR, patterns: Sequence[Sequence[int]], mask: int
+) -> Iterable[Tuple[List[int], List[int]]]:
+    for pattern in patterns:
+        if len(pattern) != len(ir.inputs):
+            raise ValueError(
+                f"expected {len(ir.inputs)} input values, got {len(pattern)}"
+            )
+        yield broadcast_planes(pattern, mask)
+
+
+def run_slots(
+    ir: CircuitIR,
+    mask: int,
+    state_one: Sequence[int],
+    state_zero: Sequence[int],
+    pi_planes: Iterable[Tuple[Sequence[int], Sequence[int]]],
+    tap: FrameTap,
+    batch: Optional[CompiledFaultBatch] = None,
+) -> None:
+    """Simulate *mask*-wide slots frame by frame: the one sequential loop.
+
+    *state_one* / *state_zero* are the packed initial present-state
+    planes; *pi_planes* yields one ``(pi_ones, pi_zeros)`` pair per
+    frame.  *batch* overrides pins, output taps, flip-flop data pins and
+    pinned states (its ``forced_state`` also pins the initial state).
+    After each frame *tap* receives the line planes ``(ones, zeros)``
+    (overwritten by the next frame) and fresh lists of the primary-output
+    and next-state planes, overrides applied.
+    """
+    pin: Optional[PinOverrides] = None
+    dirty: Optional[FrozenSet[int]] = None
+    forced: Dict[int, Override] = {}
+    if batch is not None:
+        pin, dirty = batch.pin_overrides, batch.dirty_slots
+        forced = batch.forced_state
+    output_lines = ir.outputs
+    ns_lines = ir.ns_lines
+    ones = [0] * ir.num_lines
+    zeros = [0] * ir.num_lines
+    state_one = list(state_one)
+    state_zero = list(state_zero)
+    _apply_overrides(forced, state_one, state_zero)
+    for pi_ones, pi_zeros in pi_planes:
+        _set_sources(ir, ones, zeros, pi_ones, pi_zeros, state_one, state_zero)
+        eval_pass(ir, ones, zeros, mask, pin, dirty)
+        out_one = [ones[line] for line in output_lines]
+        out_zero = [zeros[line] for line in output_lines]
+        state_one = [ones[line] for line in ns_lines]
+        state_zero = [zeros[line] for line in ns_lines]
+        if batch is not None:
+            _apply_overrides(batch.output_overrides, out_one, out_zero)
+            _apply_overrides(batch.flop_overrides, state_one, state_zero)
+            _apply_overrides(forced, state_one, state_zero)
+        tap(ones, zeros, out_one, out_zero, state_one, state_zero)
+
+
 def simulate_sequence_ir(
     circuit: Circuit,
     patterns: Sequence[Sequence[int]],
@@ -470,6 +552,7 @@ def simulate_sequence_ir(
     Returns the same :class:`~repro.sim.sequential.SequentialResult`
     shape (states / outputs / optional frames as plain value lists);
     the differential suite asserts bit identity with the interpreter.
+    *forced_ps* runs as width-1 ``forced_state`` overrides.
     """
     from repro.sim.sequential import SequentialResult
 
@@ -483,45 +566,36 @@ def simulate_sequence_ir(
                 f"expected {num_flops} state values, got {len(initial_state)}"
             )
         state = list(initial_state)
+    pinned = None
     if forced_ps:
+        forced: Dict[int, Override] = {}
         for flop_index, value in forced_ps.items():
             state[flop_index] = value
-    states = [list(state)]
-    outputs: List[List[int]] = []
-    frames: Optional[List[List[int]]] = [] if keep_frames else None
-    ones = [0] * ir.num_lines
-    zeros = [0] * ir.num_lines
-    for pattern in patterns:
-        if len(pattern) != len(ir.inputs):
-            raise ValueError(
-                f"expected {len(ir.inputs)} input values, got {len(pattern)}"
+            forced[flop_index] = (
+                int(value == ONE), int(value == ZERO), ~1
             )
-        pi_ones, pi_zeros = broadcast_planes(pattern, 1)
-        ps_ones, ps_zeros = broadcast_planes(state, 1)
-        _set_sources(ir, ones, zeros, pi_ones, pi_zeros, ps_ones, ps_zeros)
-        eval_pass(ir, ones, zeros, 1)
-        outputs.append(
-            [
-                ONE if ones[line] else (ZERO if zeros[line] else UNKNOWN)
-                for line in ir.outputs
-            ]
-        )
-        state = [
-            ONE if ones[line] else (ZERO if zeros[line] else UNKNOWN)
-            for line in ir.ns_lines
-        ]
-        if forced_ps:
-            for flop_index, value in forced_ps.items():
-                state[flop_index] = value
-        states.append(list(state))
+        pinned = CompiledFaultBatch([], 1, 1, forced_state=forced)
+    result = SequentialResult(
+        states=[state], outputs=[], frames=[] if keep_frames else None
+    )
+    frames = result.frames
+
+    def tap(
+        ones: List[int], zeros: List[int],
+        out_one: List[int], out_zero: List[int],
+        state_one: List[int], state_zero: List[int],
+    ) -> None:
+        result.outputs.append(_decode_width1(out_one, out_zero))
+        result.states.append(_decode_width1(state_one, state_zero))
         if frames is not None:
-            frames.append(
-                [
-                    ONE if ones[line] else (ZERO if zeros[line] else UNKNOWN)
-                    for line in range(ir.num_lines)
-                ]
-            )
-    return SequentialResult(states=states, outputs=outputs, frames=frames)
+            frames.append(_decode_width1(ones, zeros))
+
+    state_one, state_zero = broadcast_planes(state, 1)
+    run_slots(
+        ir, 1, state_one, state_zero,
+        _broadcast_frames(ir, patterns, 1), tap, pinned,
+    )
+    return result
 
 
 @dataclass
@@ -540,22 +614,14 @@ class PackedSequences:
     states_zero: List[List[int]]
 
     def output_values(self, frame: int, slot: int) -> List[int]:
-        bit = 1 << slot
-        return [
-            ONE if one & bit else (ZERO if zero & bit else UNKNOWN)
-            for one, zero in zip(
-                self.outputs_one[frame], self.outputs_zero[frame]
-            )
-        ]
+        return _decode_slot(
+            self.outputs_one[frame], self.outputs_zero[frame], 1 << slot
+        )
 
     def state_values(self, frame: int, slot: int) -> List[int]:
-        bit = 1 << slot
-        return [
-            ONE if one & bit else (ZERO if zero & bit else UNKNOWN)
-            for one, zero in zip(
-                self.states_one[frame], self.states_zero[frame]
-            )
-        ]
+        return _decode_slot(
+            self.states_one[frame], self.states_zero[frame], 1 << slot
+        )
 
 
 def simulate_sequences_packed(
@@ -580,33 +646,28 @@ def simulate_sequences_packed(
             raise ValueError("all packed sequences must have equal length")
     if initial_states is not None and len(initial_states) != width:
         raise ValueError("initial_states must have one row per sequence")
-    mask = (1 << width) - 1
     if initial_states is None:
         state_one = [0] * len(ir.ps_lines)
         state_zero = [0] * len(ir.ps_lines)
     else:
         state_one, state_zero = pack_columns(initial_states)
-    result = PackedSequences(
-        width,
-        [],
-        [],
-        [list(state_one)],
-        [list(state_zero)],
+    result = PackedSequences(width, [], [], [state_one], [state_zero])
+
+    def tap(
+        ones: List[int], zeros: List[int],
+        out_one: List[int], out_zero: List[int],
+        state_one: List[int], state_zero: List[int],
+    ) -> None:
+        result.outputs_one.append(out_one)
+        result.outputs_zero.append(out_zero)
+        result.states_one.append(state_one)
+        result.states_zero.append(state_zero)
+
+    pi_planes = (
+        pack_columns([sequence[frame] for sequence in sequences])
+        for frame in range(length)
     )
-    ones = [0] * ir.num_lines
-    zeros = [0] * ir.num_lines
-    for frame in range(length):
-        pi_ones, pi_zeros = pack_columns(
-            [sequence[frame] for sequence in sequences]
-        )
-        _set_sources(ir, ones, zeros, pi_ones, pi_zeros, state_one, state_zero)
-        eval_pass(ir, ones, zeros, mask)
-        result.outputs_one.append([ones[line] for line in ir.outputs])
-        result.outputs_zero.append([zeros[line] for line in ir.outputs])
-        state_one = [ones[line] for line in ir.ns_lines]
-        state_zero = [zeros[line] for line in ir.ns_lines]
-        result.states_one.append(list(state_one))
-        result.states_zero.append(list(state_zero))
+    run_slots(ir, (1 << width) - 1, state_one, state_zero, pi_planes, tap)
     return result
 
 
@@ -615,23 +676,29 @@ def simulate_sequences_packed(
 # ----------------------------------------------------------------------
 @dataclass
 class CompiledFaultBatch:
-    """One fault batch compiled to IR plane masks.
+    """Plane-mask overrides of one fault batch (or pinned states).
 
     Slot 0 is the fault-free machine; fault *j* (0-based in
-    :attr:`faults`) occupies slot ``j + 1``.  ``pin_overrides`` forces
-    gate-input reads by CSR fanin index; output taps and flip-flop data
-    pins have their own tables; ``forced_state`` pins stuck
-    present-state variables exactly like ``InjectedFault.forced_ps``.
+    :attr:`faults`) occupies slot ``j + 1``.  Every table maps an index
+    to an :data:`Override`: ``pin_overrides`` forces gate-input reads by
+    CSR fanin index, ``output_overrides`` primary-output taps and
+    ``flop_overrides`` flip-flop data pins; ``forced_state`` pins stuck
+    present-state variables exactly like ``InjectedFault.forced_ps``
+    (the initial state and every next state).
     """
 
     faults: List[Fault]
     width: int
     mask: int
-    pin_overrides: PinOverrides
-    dirty_slots: FrozenSet[int]
-    output_overrides: Dict[int, Tuple[int, int]]
-    flop_overrides: Dict[int, Tuple[int, int]]
-    forced_state: Dict[int, Tuple[int, int]]
+    pin_overrides: PinOverrides = field(default_factory=dict)
+    dirty_slots: FrozenSet[int] = frozenset()
+    output_overrides: Dict[int, Override] = field(default_factory=dict)
+    flop_overrides: Dict[int, Override] = field(default_factory=dict)
+    forced_state: Dict[int, Override] = field(default_factory=dict)
+
+
+def _with_keep(table: Dict[int, Tuple[int, int]]) -> Dict[int, Override]:
+    return {key: (f1, f0, ~(f1 | f0)) for key, (f1, f0) in table.items()}
 
 
 def compile_fault_batch(
@@ -639,7 +706,7 @@ def compile_fault_batch(
 ) -> CompiledFaultBatch:
     """Compile *faults* (slots 1..N) into plane-mask overrides."""
     ir = compile_circuit(circuit)
-    pin_overrides: PinOverrides = {}
+    pin_overrides: Dict[int, Tuple[int, int]] = {}
     output_overrides: Dict[int, Tuple[int, int]] = {}
     flop_overrides: Dict[int, Tuple[int, int]] = {}
     forced_state: Dict[int, Tuple[int, int]] = {}
@@ -677,11 +744,11 @@ def compile_fault_batch(
         faults=list(faults),
         width=len(faults) + 1,
         mask=(1 << (len(faults) + 1)) - 1,
-        pin_overrides=pin_overrides,
+        pin_overrides=_with_keep(pin_overrides),
         dirty_slots=frozenset(dirty),
-        output_overrides=output_overrides,
-        flop_overrides=flop_overrides,
-        forced_state=forced_state,
+        output_overrides=_with_keep(output_overrides),
+        flop_overrides=_with_keep(flop_overrides),
+        forced_state=_with_keep(forced_state),
     )
 
 
@@ -689,6 +756,7 @@ def simulate_fault_batch(
     circuit: Circuit,
     batch: CompiledFaultBatch,
     patterns: Sequence[Sequence[int]],
+    reference: Optional["SequentialResult"] = None,
 ) -> int:
     """Sequentially simulate one compiled batch; return the detection mask.
 
@@ -696,43 +764,36 @@ def simulate_fault_batch(
     conventionally detected: its response and the fault-free slot-0
     response hold opposite specified values at some (time, output)
     position.  Detection semantics match
-    :func:`repro.fsim.conventional.run_conventional` exactly.
+    :func:`repro.fsim.conventional.run_conventional` exactly.  When
+    *reference* is given (empty), slot 0's trajectory is appended to its
+    ``states`` and ``outputs``: the values
+    ``simulate_sequence(circuit, patterns)`` returns.
     """
     ir = compile_circuit(circuit)
-    mask = batch.mask
-    ones = [0] * ir.num_lines
-    zeros = [0] * ir.num_lines
     num_flops = len(ir.ps_lines)
-    state_one = [0] * num_flops
-    state_zero = [0] * num_flops
-    for flop_index, (f1, f0) in batch.forced_state.items():
-        state_one[flop_index] = f1
-        state_zero[flop_index] = f0
+    if reference is not None:
+        reference.states.append([UNKNOWN] * num_flops)
     detected = 0
-    for pattern in patterns:
-        pi_ones, pi_zeros = broadcast_planes(pattern, mask)
-        _set_sources(ir, ones, zeros, pi_ones, pi_zeros, state_one, state_zero)
-        eval_pass(
-            ir, ones, zeros, mask, batch.pin_overrides, batch.dirty_slots
-        )
-        for out_index, line in enumerate(ir.outputs):
-            v1, v0 = _read_override(
-                ones[line], zeros[line],
-                batch.output_overrides.get(out_index),
-            )
-            good_one = mask if (v1 & 1) else 0
-            good_zero = mask if (v0 & 1) else 0
-            detected |= (good_one & v0) | (good_zero & v1)
-        for flop_index, line in enumerate(ir.ns_lines):
-            v1, v0 = _read_override(
-                ones[line], zeros[line],
-                batch.flop_overrides.get(flop_index),
-            )
-            v1, v0 = _read_override(
-                v1, v0, batch.forced_state.get(flop_index)
-            )
-            state_one[flop_index] = v1
-            state_zero[flop_index] = v0
+
+    def tap(
+        ones: List[int], zeros: List[int],
+        out_one: List[int], out_zero: List[int],
+        state_one: List[int], state_zero: List[int],
+    ) -> None:
+        nonlocal detected
+        for v1, v0 in zip(out_one, out_zero):
+            if v1 & 1:
+                detected |= v0
+            elif v0 & 1:
+                detected |= v1
+        if reference is not None:
+            reference.outputs.append(_decode_slot(out_one, out_zero, 1))
+            reference.states.append(_decode_slot(state_one, state_zero, 1))
+
+    run_slots(
+        ir, batch.mask, [0] * num_flops, [0] * num_flops,
+        _broadcast_frames(ir, patterns, batch.mask), tap, batch,
+    )
     return detected >> 1  # drop the fault-free slot
 
 
@@ -752,10 +813,12 @@ def _eval_frame_patterns_np(
     width.  Fault overrides are not supported on this backend (fault
     batches use the int planes).
     """
-    if _np is None:
+    try:
+        import numpy as _np
+    except ImportError:
         raise RuntimeError(
             "numpy backend requested but numpy is not installed"
-        )
+        ) from None
     width = len(patterns)
     lanes = (width + 63) // 64
     ones = _np.zeros((ir.num_lines, lanes), dtype=_np.uint64)

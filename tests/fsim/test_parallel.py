@@ -10,18 +10,22 @@ from repro.faults.collapse import collapse_faults
 from repro.faults.sites import all_faults
 from repro.fsim.conventional import run_conventional
 from repro.fsim.parallel import ParallelFaultSimulator, run_parallel_conventional
+from repro.obs.metrics import scoped_metrics
 from repro.patterns.random_gen import random_patterns
+from repro.sim import kernel
 
 
 def _compare(circuit, faults, patterns, batch=62):
+    """Serial, *batch* faults per word and the default one-word run agree."""
     serial = run_conventional(circuit, faults, patterns)
-    parallel = run_parallel_conventional(circuit, faults, patterns, batch)
-    assert len(serial.verdicts) == len(parallel.verdicts)
-    for s_verdict, p_verdict in zip(serial.verdicts, parallel.verdicts):
-        assert s_verdict.fault == p_verdict.fault
-        assert s_verdict.detected == p_verdict.detected, s_verdict.fault.describe(
-            circuit
-        )
+    for size in (batch, None):
+        parallel = run_parallel_conventional(circuit, faults, patterns, size)
+        assert len(serial.verdicts) == len(parallel.verdicts)
+        for s_verdict, p_verdict in zip(serial.verdicts, parallel.verdicts):
+            assert s_verdict.fault == p_verdict.fault
+            assert (
+                s_verdict.detected == p_verdict.detected
+            ), s_verdict.fault.describe(circuit)
 
 
 def test_matches_serial_s27_full_universe():
@@ -68,6 +72,31 @@ def test_empty_fault_list():
     circuit = s27()
     campaign = run_parallel_conventional(circuit, [], random_patterns(4, 4))
     assert campaign.total == 0
+
+
+@pytest.mark.parametrize("engine", ["ir", "interp"])
+def test_default_is_one_word_holding_every_fault(engine, monkeypatch):
+    """``batch=None`` walks the circuit once per frame for the whole list;
+    the IR engine reaches the kernel through a call-time import."""
+    circuit = build_circuit("s208_like")
+    faults = all_faults(circuit)  # 400 faults: several 62-fault words
+    patterns = random_patterns(circuit.num_inputs, 12, seed=6)
+    widths = []
+    real = kernel.simulate_fault_batch
+
+    def counting(circuit, batch, patterns, reference=None):
+        widths.append(batch.width)
+        return real(circuit, batch, patterns, reference)
+
+    monkeypatch.setattr(kernel, "simulate_fault_batch", counting)
+    simulator = ParallelFaultSimulator(circuit, engine=engine)
+    assert simulator.batch is None
+    assert hasattr(simulator, "_plan") == (engine == "interp")
+    with scoped_metrics() as metrics:
+        simulator.run(faults, patterns)
+    assert metrics.snapshot().counters["fsim.parallel.batches"] == 1
+    assert widths == ([len(faults) + 1] if engine == "ir" else [])
+    _compare(circuit, faults, patterns, batch=62)
 
 
 @settings(

@@ -13,20 +13,28 @@ seeded random Moore machines and random 3-valued patterns through
   path, including X initial states, ``forced_ps`` pinning, per-frame
   value capture and flop state carry-over across frames,
 * :mod:`repro.fsim.conventional` vs :mod:`repro.fsim.parallel` on both
-  of its engines (object-graph and IR plane masks),
+  of its engines (object-graph and IR plane masks), in explicit batches
+  and in the default one-word run, with every campaign's ``reference``
+  (slot 0 of the IR pass) equal to the fault-free trajectory,
 
 and asserts exact equality everywhere.  X-propagation is exercised by
 construction: patterns and states draw from {0, 1, X} uniformly.
 """
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import repro
 from repro.circuits.generators import random_moore
 from repro.circuits.library import s27
 from repro.circuits.registry import build_circuit
+from repro.faults.injection import inject_fault
 from repro.faults.sites import all_faults
 from repro.fsim.conventional import run_conventional
 from repro.fsim.parallel import ParallelFaultSimulator, run_parallel_conventional
@@ -35,16 +43,22 @@ from repro.patterns.random_gen import random_patterns
 from repro.sim.frame import eval_frame
 from repro.sim.ir import compile_circuit
 from repro.sim.kernel import (
+    broadcast_planes,
     compile_fault_batch,
     eval_frame_patterns,
     eval_frame_planes,
     eval_frame_values,
     numpy_available,
+    run_slots,
     simulate_fault_batch,
     simulate_sequence_ir,
     simulate_sequences_packed,
 )
-from repro.sim.sequential import simulate_sequence
+from repro.sim.sequential import (
+    SequentialResult,
+    simulate_injected,
+    simulate_sequence,
+)
 
 
 def _xpat(num, rng):
@@ -146,6 +160,25 @@ def test_numpy_lane_backend_matches_int_backend_across_lane_boundary():
     assert eval_frame_patterns(
         circuit, patterns, states, backend="numpy"
     ) == eval_frame_patterns(circuit, patterns, states)
+
+
+def test_simulator_imports_leave_numpy_unloaded():
+    """numpy is imported only by the numpy lane backend, so the
+    simulators and the campaign runner do not pay its memory."""
+    code = (
+        "import sys\n"
+        "import repro.fsim.parallel, repro.mot.simulator, "
+        "repro.runner.campaign\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    src = str(Path(repro.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_unknown_backend_is_rejected():
@@ -259,18 +292,34 @@ def test_sequential_rejects_unknown_engine_and_bad_shapes():
 # Fault simulation: serial == parallel(interp) == parallel(ir)
 # ----------------------------------------------------------------------
 def _assert_verdicts_agree(circuit, faults, patterns, batch=62):
+    """Serial == both parallel engines, at *batch* faults per word and
+    in the default one-word run; every campaign's ``reference`` is the
+    fault-free trajectory."""
     serial = run_conventional(circuit, faults, patterns)
+    good = simulate_sequence(circuit, patterns)
     campaigns = [
-        run_parallel_conventional(circuit, faults, patterns, batch, engine)
+        run_parallel_conventional(circuit, faults, patterns, size, engine)
         for engine in ("interp", "ir")
+        for size in (batch, None)
     ]
     for campaign in campaigns:
+        assert campaign.reference.states == good.states
+        assert campaign.reference.outputs == good.outputs
         assert len(campaign.verdicts) == len(serial.verdicts)
         for expected, got in zip(serial.verdicts, campaign.verdicts):
             assert expected.fault == got.fault
             assert expected.detected == got.detected, expected.fault.describe(
                 circuit
             )
+
+
+def _ps_stem_faults(circuit):
+    """Stuck present-state stems: the faults compiled to ``forced_state``."""
+    ps_lines = {flop.ps for flop in circuit.flops}
+    return [
+        fault for fault in all_faults(circuit)
+        if fault.pin is None and fault.line in ps_lines
+    ]
 
 
 def test_fault_verdicts_agree_on_s27_full_universe():
@@ -297,6 +346,93 @@ def test_fault_batch_masks_match_serial_detection_bits():
     detected = simulate_fault_batch(circuit, batch, patterns)
     for j, verdict in enumerate(serial.verdicts):
         assert bool((detected >> j) & 1) == verdict.detected
+
+
+def _slot_values(ones, zeros, slot):
+    bit = 1 << slot
+    return [
+        ONE if one & bit else (ZERO if zero & bit else UNKNOWN)
+        for one, zero in zip(ones, zeros)
+    ]
+
+
+def test_slot_runner_replays_every_injected_machine():
+    """One fault batch through :func:`run_slots`: slot 0 replays the
+    fault-free trajectory and every fault slot its injected netlist,
+    line for line in every frame, output for output, state for state."""
+    rng = random.Random(31)
+    cases = [(s27(), [_xpat(4, rng) for _ in range(10)])] + [
+        (
+            random_moore(seed, num_inputs=3, num_flops=3, num_gates=16),
+            [_xpat(3, rng) for _ in range(8)],
+        )
+        for seed in range(5)
+    ]
+    for circuit, patterns in cases:
+        faults = all_faults(circuit)
+        batch = compile_fault_batch(circuit, faults)
+        captured = []
+
+        def tap(ones, zeros, out_one, out_zero, state_one, state_zero):
+            captured.append(
+                (list(ones), list(zeros), out_one, out_zero,
+                 state_one, state_zero)
+            )
+
+        unset = [0] * circuit.num_flops
+        run_slots(
+            compile_circuit(circuit), batch.mask, unset, unset,
+            [broadcast_planes(p, batch.mask) for p in patterns], tap, batch,
+        )
+        machines = [simulate_sequence(circuit, patterns, keep_frames=True)]
+        machines += [
+            simulate_injected(
+                inject_fault(circuit, fault), patterns, keep_frames=True
+            )
+            for fault in faults
+        ]
+        for slot, expected in enumerate(machines):
+            for u, (ones, zeros, o1, o0, s1, s0) in enumerate(captured):
+                frame = expected.frames[u][:circuit.num_lines]
+                assert _slot_values(ones, zeros, slot) == frame
+                assert _slot_values(o1, o0, slot) == expected.outputs[u]
+                assert _slot_values(s1, s0, slot) == expected.states[u + 1]
+
+
+def test_fault_batch_reference_is_slot_zero():
+    """The optional *reference* collects slot 0's trajectory, which
+    stuck present-state stems in the other slots must not disturb."""
+    circuit = s27()
+    patterns = random_patterns(4, 16, seed=5)
+    good = simulate_sequence(circuit, patterns)
+    for faults in ([], _ps_stem_faults(circuit), all_faults(circuit)):
+        reference = SequentialResult(states=[], outputs=[])
+        batch = compile_fault_batch(circuit, faults)
+        simulate_fault_batch(circuit, batch, patterns, reference)
+        assert reference.states == good.states
+        assert reference.outputs == good.outputs
+    assert _ps_stem_faults(circuit)
+
+
+@pytest.mark.parametrize("batch", [None, 1, 2, 5])
+def test_reference_from_slot_zero_matches_simulate_sequence(batch):
+    """Empty lists, PS-stem faults and small explicit batches: the IR
+    engine's ``reference`` equals ``simulate_sequence``."""
+    circuits = [s27()] + [
+        random_moore(seed, num_inputs=3, num_flops=3, num_gates=16)
+        for seed in range(6)
+    ]
+    for circuit in circuits:
+        patterns = random_patterns(circuit.num_inputs, 12, seed=3)
+        good = simulate_sequence(circuit, patterns)
+        for faults in ([], _ps_stem_faults(circuit)):
+            campaign = run_parallel_conventional(
+                circuit, faults, patterns, batch
+            )
+            assert campaign.reference.states == good.states
+            assert campaign.reference.outputs == good.outputs
+            assert campaign.reference.frames is None
+            assert campaign.total == len(faults)
 
 
 def test_parallel_rejects_unknown_engine():
