@@ -25,6 +25,12 @@ enforces the two halves of its acceptance criterion in order:
    ``MIN_ONE_WORD_SPEEDUP``x faster than ``LEGACY_BATCH``-fault words
    (best-of-``ROUNDS`` each).
 
+4. **Packed resolution**: on ``s5378_like`` condition-(C) survivors,
+   resolving each fault's expanded sequences in one packed call
+   (:func:`~repro.mot.resimulate.resimulate_sequences`) must give the
+   statuses of one width-1 call per sequence and run at least
+   ``MIN_PACKED_RESIM_SPEEDUP``x faster (best-of-``ROUNDS`` each).
+
 Exit code 0 when every gate holds, 1 otherwise.
 """
 
@@ -42,10 +48,20 @@ sys.path.insert(
 from repro.circuits.generators import random_moore
 from repro.circuits.library import s27
 from repro.circuits.registry import build_circuit
+from repro.faults.collapse import collapse_faults
+from repro.faults.injection import inject_fault
 from repro.faults.sites import all_faults
 from repro.fsim.conventional import run_conventional
 from repro.fsim.parallel import run_parallel_conventional
 from repro.logic.values import UNKNOWN
+from repro.mot.backward import BackwardCollector
+from repro.mot.expansion import expand
+from repro.mot.resimulate import (
+    FrameBase,
+    resimulate_sequence,
+    resimulate_sequences,
+)
+from repro.mot.simulator import ProposedSimulator, screen_fault
 from repro.patterns.random_gen import random_patterns
 from repro.sim.frame import eval_frame
 from repro.sim.ir import compile_circuit
@@ -54,7 +70,7 @@ from repro.sim.kernel import (
     eval_frame_values,
     simulate_sequence_ir,
 )
-from repro.sim.sequential import simulate_sequence
+from repro.sim.sequential import simulate_injected, simulate_sequence
 
 #: Random differential workload: (circuit seed, pattern seed) pairs.
 RANDOM_SEEDS = tuple((seed, seed * 7 + 1) for seed in range(10))
@@ -66,6 +82,10 @@ MIN_SPEEDUP = 10.0
 FAULT_BATCH_LENGTH = 24
 LEGACY_BATCH = 62
 MIN_ONE_WORD_SPEEDUP = 3.0
+#: Packed-resolution gate: survivors, sequence length, required ratio.
+RESIM_SURVIVORS = 8
+RESIM_LENGTH = 48
+MIN_PACKED_RESIM_SPEEDUP = 3.0
 
 
 def fail(message: str) -> None:
@@ -202,10 +222,101 @@ def check_fault_batch() -> None:
         )
 
 
+# ----------------------------------------------------------------------
+# Gate 4: packed resolution of expanded sequences
+# ----------------------------------------------------------------------
+def _survivor_workloads():
+    """Per s5378_like survivor: resolver arguments and its sequences."""
+    circuit = build_circuit("s5378_like")
+    patterns = random_patterns(circuit.num_inputs, RESIM_LENGTH, seed=9)
+    simulator = ProposedSimulator(circuit, patterns)
+    reference = simulator.reference_outputs
+    workloads = []
+    for fault in collapse_faults(circuit):
+        status, _, profile = screen_fault(simulator.screen, fault)
+        if status:
+            continue
+        injected = inject_fault(circuit, fault)
+        faulty = simulate_injected(injected, patterns, keep_frames=True)
+        info = BackwardCollector(
+            injected, faulty, reference, profile
+        ).collect()
+        outcome = expand(faulty.states, info, profile)
+        if not outcome.sequences:
+            continue
+        base = FrameBase(
+            injected.circuit, patterns, faulty.states, faulty.frames
+        )
+        args = (injected.circuit, patterns, reference)
+        workloads.append(
+            (args, injected.forced_ps, base, outcome.sequences)
+        )
+        if len(workloads) == RESIM_SURVIVORS:
+            break
+    return workloads
+
+
+def check_packed_resim() -> None:
+    workloads = _survivor_workloads()
+    if not workloads:
+        fail("no s5378_like survivor reached resimulation")
+
+    def fresh():
+        return [
+            [seq.copy() for seq in sequences]
+            for _, _, _, sequences in workloads
+        ]
+
+    def packed(batches):
+        return [
+            resimulate_sequences(*args, batch, forced, base)
+            for (args, forced, base, _), batch in zip(workloads, batches)
+        ]
+
+    def one_at_a_time(batches):
+        return [
+            [
+                resimulate_sequence(*args, seq, forced, base=base)
+                for seq in batch
+            ]
+            for (args, forced, base, _), batch in zip(workloads, batches)
+        ]
+
+    if packed(fresh()) != one_at_a_time(fresh()):
+        fail(f"packed statuses differ from width-1 calls on {RESIM_SURVIVORS} "
+             "s5378_like survivors")
+
+    def timed(resolve):
+        best = float("inf")
+        for _ in range(ROUNDS):
+            batches = fresh()  # resolution mutates; copy outside the timer
+            start = time.perf_counter()
+            resolve(batches)
+            best = min(best, time.perf_counter() - start)
+        return best
+
+    packed_s = timed(packed)
+    single_s = timed(one_at_a_time)
+    sequences = sum(len(w[3]) for w in workloads)
+    speedup = single_s / packed_s
+    print(
+        f"packed resolution: {sequences} sequences of {len(workloads)} "
+        f"s5378_like survivors: width-1 calls {single_s * 1e3:.1f} ms, "
+        f"packed {packed_s * 1e3:.1f} ms -> {speedup:.1f}x "
+        "(statuses identical)"
+    )
+    if speedup < MIN_PACKED_RESIM_SPEEDUP:
+        fail(
+            f"packed resolution is only {speedup:.1f}x the width-1 calls "
+            f"(gate: >= {MIN_PACKED_RESIM_SPEEDUP:.0f}x)"
+        )
+
+
 def main() -> int:
     check_identity()
     check_throughput()
     check_fault_batch()
+    check_packed_resim()
     print("kernel gate: all checks passed")
     return 0
 

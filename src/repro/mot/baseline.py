@@ -28,11 +28,13 @@ Two scheduling modes are provided:
 
 Frames are refined, not re-evaluated: a per-fault
 :class:`~repro.mot.resimulate.FrameBase` evaluates each conventional
-faulty frame once, the trial simulation refines the first sequence's
-frame by the one state variable being tried, and resimulation refines
-the conventional frame by every state variable a sequence specified
-(:func:`~repro.sim.divergence.refine_frame` re-evaluates only their
-cone).
+faulty frame once, and the trial simulation refines the first
+sequence's frame by the one state variable being tried
+(:func:`~repro.sim.divergence.refine_frame` re-evaluates only its
+cone).  Resolution (``_resolve``, both schedules) resimulates every
+sequence in one packed pass, one slot per sequence
+(:func:`~repro.mot.resimulate.resimulate_sequences`), which refines each
+conventional frame once for all of them.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ from repro.mot.resimulate import (
     FrameBase,
     SequenceStatus,
     resimulate_sequence,
+    resimulate_sequences,
 )
 from repro.mot.simulator import Campaign, FaultVerdict, screen_fault
 from repro.obs.metrics import get_metrics
@@ -60,12 +63,14 @@ from repro.sim.goodcache import GoodMachineCache
 from repro.sim.sequential import simulate_injected, simulate_sequence
 
 # ``mot_profile`` and ``simulate_injected`` are not called in this module
-# (``screen_fault`` runs those steps); they are exported because the
+# (``screen_fault`` runs those steps), nor is ``resimulate_sequence``
+# (``_resolve`` packs every sequence); they are exported because the
 # per-layer tracer of ``perfbench/spans.py`` wraps this import site.
 __all__ = [
     "BaselineConfig",
     "BaselineSimulator",
     "mot_profile",
+    "resimulate_sequence",
     "simulate_injected",
 ]
 
@@ -232,18 +237,18 @@ class BaselineSimulator:
         meter: Optional[BudgetMeter] = None,
     ) -> List[StateSequence]:
         """Resimulate and keep only unresolved sequences."""
+        statuses = resimulate_sequences(
+            injected.circuit,
+            self.patterns,
+            self.reference_outputs,
+            sequences,
+            injected.forced_ps,
+            base,
+        )
         unresolved: List[StateSequence] = []
-        for seq in sequences:
+        for seq, status in zip(sequences, statuses):
             if meter is not None:
                 meter.charge()
-            status = resimulate_sequence(
-                injected.circuit,
-                self.patterns,
-                self.reference_outputs,
-                seq,
-                injected.forced_ps,
-                base=base,
-            )
             if status is SequenceStatus.UNRESOLVED:
                 unresolved.append(seq)
         return unresolved

@@ -43,15 +43,16 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.circuit.netlist import Circuit
 from repro.errors import BudgetExceeded, VERDICT_STATUSES
-from repro.faults.injection import inject_fault
+from repro.faults.injection import InjectedFault, inject_fault
 from repro.faults.model import Fault
 from repro.mot.backward import BackwardCollector, detection_from_info
 from repro.mot.conditions import MotProfile, mot_profile
-from repro.mot.expansion import DEFAULT_N_STATES, expand
+from repro.mot.expansion import DEFAULT_N_STATES, StateSequence, expand
 from repro.mot.resimulate import (
     FrameBase,
     SequenceStatus,
     resimulate_sequence,
+    resimulate_sequences,
 )
 from repro.obs.metrics import get_metrics
 from repro.obs.trace import get_tracer
@@ -59,6 +60,20 @@ from repro.runner.budget import BudgetMeter, FaultBudget
 from repro.sim.divergence import Divergence, DivergenceScreen
 from repro.sim.goodcache import GoodMachineCache
 from repro.sim.sequential import simulate_injected, simulate_sequence
+
+# ``resimulate_sequence`` is not called in this module (``_resolve`` packs
+# every sequence); it is exported because the per-layer tracer of
+# ``perfbench/spans.py`` wraps this import site.
+__all__ = [
+    "Campaign",
+    "FaultCounters",
+    "FaultVerdict",
+    "MotConfig",
+    "ProposedSimulator",
+    "fault_label",
+    "resimulate_sequence",
+    "screen_fault",
+]
 
 
 def fault_label(circuit: Circuit, fault: Fault) -> str:
@@ -441,30 +456,13 @@ class ProposedSimulator:
                 num_expansions=len(outcome.phase2_pairs),
             )
 
-        tracer = get_tracer()
-        all_resolved = True
         base = FrameBase(
             injected.circuit, self.patterns, faulty.states, faulty.frames
         )
         with metrics.phase("resim"):
-            for sequence in outcome.sequences:
-                if meter is not None:
-                    meter.charge()
-                status = resimulate_sequence(
-                    injected.circuit,
-                    self.patterns,
-                    self.reference_outputs,
-                    sequence,
-                    injected.forced_ps,
-                    base=base,
-                )
-                if metrics.enabled:
-                    metrics.counter(f"mot.resim.{status.value}")
-                if tracer.active:
-                    tracer.emit("resim", status=status.value)
-                if status is SequenceStatus.UNRESOLVED:
-                    all_resolved = False
-                    break
+            all_resolved = self._resolve(
+                injected, base, outcome.sequences, meter
+            )
         if all_resolved:
             return FaultVerdict(
                 fault,
@@ -490,6 +488,42 @@ class ProposedSimulator:
             num_sequences=len(outcome.sequences),
             num_expansions=len(outcome.phase2_pairs),
         )
+
+    def _resolve(
+        self,
+        injected: InjectedFault,
+        base: FrameBase,
+        sequences: List[StateSequence],
+        meter: Optional[BudgetMeter],
+    ) -> bool:
+        """Section 3.4: True when every expanded sequence resolves.
+
+        All sequences are resolved in one packed pass; the per-sequence
+        side effects (a budget charge, the ``mot.resim.<status>``
+        counter, the ``resim`` trace event) then follow in sequence
+        order and stop after the first unresolved sequence, exactly
+        where a one-at-a-time loop would stop.
+        """
+        statuses = resimulate_sequences(
+            injected.circuit,
+            self.patterns,
+            self.reference_outputs,
+            sequences,
+            injected.forced_ps,
+            base,
+        )
+        metrics = get_metrics()
+        tracer = get_tracer()
+        for status in statuses:
+            if meter is not None:
+                meter.charge()
+            if metrics.enabled:
+                metrics.counter(f"mot.resim.{status.value}")
+            if tracer.active:
+                tracer.emit("resim", status=status.value)
+            if status is SequenceStatus.UNRESOLVED:
+                return False
+        return True
 
     def _fallback_detects(
         self, fault: Fault, meter: Optional[BudgetMeter] = None

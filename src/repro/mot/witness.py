@@ -46,7 +46,8 @@ from repro.mot.expansion import expand
 from repro.mot.resimulate import (
     FrameBase,
     SequenceStatus,
-    resimulate_sequence,
+    Site,
+    resimulate_sequences,
 )
 from repro.mot.simulator import MotConfig
 from repro.sim.sequential import (
@@ -54,8 +55,6 @@ from repro.sim.sequential import (
     simulate_injected,
     simulate_sequence,
 )
-
-Site = Tuple[int, int]
 
 
 @dataclass
@@ -155,28 +154,34 @@ def build_witness(
         # above already cover every feasible trajectory.
         return witness if witness.cases else None
 
-    base = FrameBase(injected.circuit, patterns, faulty.states, faulty.frames)
-    for sequence in outcome.sequences:
-        constraints = {
+    # Constraints are the values the expansion assigned, read before
+    # resimulation writes its own into the rows.
+    constraints = [
+        {
             (u, flop_index): value
             for u, row in enumerate(sequence.states)
             for flop_index, value in enumerate(row)
             if value != UNKNOWN and faulty.states[u][flop_index] == UNKNOWN
         }
-        detail: dict = {}
-        status = resimulate_sequence(
-            injected.circuit,
-            patterns,
-            reference_outputs,
-            sequence,
-            injected.forced_ps,
-            detail=detail,
-            base=base,
-        )
-        if status is SequenceStatus.DETECTED:
-            witness.cases.append(WitnessCase(constraints, detail["site"]))
-        elif status is SequenceStatus.UNRESOLVED:
+        for sequence in outcome.sequences
+    ]
+    base = FrameBase(injected.circuit, patterns, faulty.states, faulty.frames)
+    sites: List[Optional[Site]] = []
+    statuses = resimulate_sequences(
+        injected.circuit,
+        patterns,
+        reference_outputs,
+        outcome.sequences,
+        injected.forced_ps,
+        base,
+        sites,
+    )
+    for constraint, status, site in zip(constraints, statuses, sites):
+        if status is SequenceStatus.UNRESOLVED:
             return None  # procedure (without fallback) does not detect
+        if status is SequenceStatus.DETECTED:
+            assert site is not None
+            witness.cases.append(WitnessCase(constraint, site))
     return witness
 
 

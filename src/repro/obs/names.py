@@ -85,9 +85,14 @@ METRIC_NAMES = frozenset(
         "mot.expansion.runs",
         "mot.expansion.sequences",
         "mot.fallback.runs",
-        # Cone refinement in resimulation and [4] trial gain
-        # (repro.mot.resimulate.FrameBase).
+        # Packed Section-3.4 resolution
+        # (repro.mot.resimulate.resimulate_sequences): gate_evals counts
+        # its cone gate evaluations, one per gate per packed frame
+        # whatever the number of sequences, plus the scalar ones of the
+        # [4] trial gain (repro.mot.resimulate.FrameBase.refine);
+        # passes counts the packed frames evaluated.
         "mot.resim.gate_evals",
+        "mot.resim.passes",
         # Conventional screen (repro.mot.simulator.screen_fault).
         "mot.screen.conv",
         "mot.screen.dropped",

@@ -30,9 +30,12 @@ by :func:`~repro.sim.sequential.simulate_injected`
 (``tests/sim/test_divergence_screen.py`` checks it differentially).
 
 The per-frame cone evaluator, :func:`refine_frame`, is also how the MOT
-procedures evaluate frames after the screen: resimulation and the [4]
-trial gain refine a conventional faulty frame by the present-state lines
-they change (:class:`repro.mot.resimulate.FrameBase`).
+procedures evaluate frames after the screen: the [4] trial gain refines
+a conventional faulty frame by the present-state lines it changes
+(:class:`repro.mot.resimulate.FrameBase`).  :func:`refine_planes` is the
+same evaluator over slot planes: resimulation refines one conventional
+frame for every expanded sequence of a fault at once, one sequence per
+slot (:func:`repro.mot.resimulate.resimulate_sequences`).
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ from repro.logic.gates import (
     OP_NOR,
     OP_NOT,
     OP_XNOR,
+    OP_XOR,
     OPCODES,
     eval_gate,
 )
@@ -60,8 +64,10 @@ __all__ = [
     "ConeTables",
     "Divergence",
     "DivergenceScreen",
+    "Planes",
     "cone_tables",
     "refine_frame",
+    "refine_planes",
 ]
 
 _TABLES_ATTR = "_repro_divergence_tables"
@@ -228,6 +234,87 @@ def refine_frame(
             continue
         if result != values[out]:
             diff[out] = result
+            for consumer in consumers:
+                heappush(heap, consumer)
+    return evals
+
+
+#: A line's values in every slot: ``(ones, zeros)`` planes, bit ``k``
+#: for slot ``k`` (a slot holding ``X`` has neither bit).
+Planes = Tuple[int, int]
+
+
+def refine_planes(
+    tables: ConeTables,
+    values: Sequence[int],
+    diff: Dict[int, Planes],
+    mask: int,
+) -> int:
+    """:func:`refine_frame` over slot planes.
+
+    *values* holds every line of one evaluated frame and *mask* has one
+    bit per slot.  *diff* maps the lines that change in some slot to
+    their planes; a line left out of it holds its base value in every
+    slot.  Only the gates reading a changed line are re-evaluated, once
+    each whatever the width, in schedule-slot (topological) order, and
+    *diff* is extended in place with every gate output whose planes then
+    differ from the broadcast base value.  Per slot this is exactly
+    :func:`refine_frame` under that slot's changed lines.  Returns the
+    number of gate evaluations.
+    """
+    bcast = ((0, mask), (mask, 0), (0, 0))  # ZERO, ONE, UNKNOWN
+    slots, readers = tables.slots, tables.readers
+    heap: List[int] = []
+    for line in diff:
+        heap.extend(readers[line])
+    heapify(heap)
+    get = diff.get
+    evals = 0
+    last = -1
+    while heap:
+        slot = heappop(heap)
+        if slot == last:  # see refine_frame
+            continue
+        last = slot
+        evals += 1
+        op, out, fanin, consumers = slots[slot]
+        if op <= OP_NOR:  # AND/NAND/OR/NOR
+            if op <= OP_NAND:
+                ones, zeros = mask, 0
+                for line in fanin:
+                    v1, v0 = get(line) or bcast[values[line]]
+                    ones &= v1
+                    zeros |= v0
+            else:
+                ones, zeros = 0, mask
+                for line in fanin:
+                    v1, v0 = get(line) or bcast[values[line]]
+                    ones |= v1
+                    zeros &= v0
+            if op == OP_NAND or op == OP_NOR:
+                ones, zeros = zeros, ones
+        elif op <= OP_XNOR:  # XOR/XNOR by plane recurrence
+            line = fanin[0]
+            ones, zeros = get(line) or bcast[values[line]]
+            for line in fanin[1:]:
+                v1, v0 = get(line) or bcast[values[line]]
+                ones, zeros = (
+                    (ones & v0) | (zeros & v1),
+                    (ones & v1) | (zeros & v0),
+                )
+            if op != OP_XOR:
+                ones, zeros = zeros, ones
+        elif op == OP_NOT:
+            line = fanin[0]
+            zeros, ones = get(line) or bcast[values[line]]
+        elif op == OP_BUF:
+            line = fanin[0]
+            ones, zeros = get(line) or bcast[values[line]]
+        else:  # constants never change
+            continue
+        planes = (ones, zeros)
+        if planes != bcast[values[out]]:
+            diff[out] = planes
             for consumer in consumers:
                 heappush(heap, consumer)
     return evals

@@ -1,11 +1,12 @@
 """Differential suite: cone-only frame refinement vs full evaluation.
 
 :func:`repro.sim.divergence.refine_frame` re-evaluates only the cone of
-the changed lines of an evaluated frame.  Resimulation
-(:func:`repro.mot.resimulate.resimulate_sequence`) and the [4] trial
-gain (:meth:`repro.mot.baseline.BaselineSimulator._trial_gain`) refine
-the fault's conventional faulty frames with it instead of evaluating
-frames from scratch.  The obligation is value identity with the
+the changed lines of an evaluated frame.  The [4] trial gain
+(:meth:`repro.mot.baseline.BaselineSimulator._trial_gain`) refines the
+fault's conventional faulty frames with it, and resimulation
+(:func:`repro.mot.resimulate.resimulate_sequence`) with its plane
+version :func:`~repro.sim.divergence.refine_planes`, instead of
+evaluating frames from scratch.  The obligation is value identity with the
 full-evaluation formulation they replace, kept here as oracles:
 
 * a refined frame equals :func:`~repro.sim.frame.eval_frame` under the
